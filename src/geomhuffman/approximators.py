@@ -13,13 +13,11 @@ dyadic PMF given by codeword lengths:
 
 from __future__ import annotations
 
-import heapq
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import INF, CodeLengths, DyadicPmf, KraftSum
+from .dyadic import INF, CodeLengths, DyadicPmf
 from .pmf import Pmf, as_weights, kl_divergence
 
 
@@ -41,8 +39,7 @@ class LogWeights:
         arr = as_weights(x)
         if np.any(arr < 0.0):
             raise ValueError("weights must be nonnegative")
-        with np.errstate(divide="ignore"):
-            u = np.where(arr > 0.0, -np.log2(np.where(arr > 0.0, arr, 1.0)), np.inf)
+        u = np.where(arr > 0.0, -np.log2(np.where(arr > 0.0, arr, 1.0)), np.inf)
         perm = np.argsort(u, kind="stable")
         out_u = u[perm]
         out_u.setflags(write=False)
@@ -50,18 +47,101 @@ class LogWeights:
         return cls(out_u, perm)
 
 
-def _assign_depths(kids, syms, root: int, m: int) -> list:
-    lengths = [INF] * m
-    stack = [(root, 0)]
-    while stack:
-        node, depth = stack.pop()
-        if kids[node] is None:
-            lengths[syms[node]] = depth
+def _two_queue_depths(keys: list, ties: list, merge, drop=None) -> list:
+    """Leaf depths of the tree built by repeatedly combining the two nodes
+    that pop first, in van Leeuwen's two-queue form.
+
+    ``keys`` and ``ties`` (symbol indices) describe the leaves already in
+    pop order: larger key first, and among equal keys the higher index
+    first.  Each step pops node a, then node b; when ``drop(key_a, key_b)``
+    holds, a is discarded (with its whole subtree) and b stays in place,
+    otherwise both become children of a node keyed ``merge(key_a, key_b)``
+    whose tie index is the smaller of theirs.  The rules must never give a
+    merged node a larger key than an earlier one, so merged nodes form a
+    FIFO; among equal keys a new node goes ahead of pending ones with a
+    smaller tie index, which keeps the pop order total and deterministic.
+
+    Returns depths per leaf, in the given order; dropped leaves get inf.
+    """
+    n = len(keys)
+    keys = keys + [-INF]  # sentinel: a merged node always pops ahead of it
+    ties = ties + [-1]
+    qk: list = []  # merged queue: keys, tie indices, node ids; pending from j
+    qt: list = []
+    qn: list = []
+    parent = [-1] * n  # node ids: leaves 0..n-1, merged nodes from n up
+    i = j = tail = 0
+    ki, ti = keys[0], ties[0]  # the next leaf
+    c = n
+    for _ in range(n - 1):  # each step removes one node
+        if j < tail and (qk[j] > ki or (qk[j] == ki and qt[j] > ti)):
+            a, ka, ta = qn[j], qk[j], qt[j]
+            j += 1
         else:
-            a, b = kids[node]
-            stack.append((a, depth + 1))
-            stack.append((b, depth + 1))
-    return lengths
+            a, ka, ta = i, ki, ti
+            i += 1
+            ki, ti = keys[i], ties[i]
+        if j < tail and (qk[j] > ki or (qk[j] == ki and qt[j] > ti)):
+            kb = qk[j]
+            if drop is not None and drop(ka, kb):
+                continue
+            b, tb = qn[j], qt[j]
+            j += 1
+        else:
+            kb = ki
+            if drop is not None and drop(ka, kb):
+                continue
+            b, tb = i, ti
+            i += 1
+            ki, ti = keys[i], ties[i]
+        parent[a] = parent[b] = c
+        parent.append(-1)
+        kc = merge(ka, kb)
+        tc = ta if ta < tb else tb
+        if j < tail and qk[-1] == kc and qt[-1] < tc:
+            pos = tail - 1
+            while pos > j and qk[pos - 1] == kc and qt[pos - 1] < tc:
+                pos -= 1
+            qk.insert(pos, kc)
+            qt.insert(pos, tc)
+            qn.insert(pos, c)
+        else:
+            qk.append(kc)
+            qt.append(tc)
+            qn.append(c)
+        tail += 1
+        c += 1
+
+    # parents have larger ids than their children: one reverse pass
+    depth = [INF] * c
+    depth[qn[j] if j < tail else i] = 0
+    for node in range(c - 1, -1, -1):
+        up = parent[node]
+        if up >= 0:
+            depth[node] = depth[up] + 1
+    del depth[n:]
+    return depth
+
+
+def _code_and_divergence(order: np.ndarray, depths: list, arr: np.ndarray) -> tuple:
+    """CodeLengths in symbol order from per-leaf depths, and D(p || arr)."""
+    lengths = [INF] * arr.size
+    for sym, depth in zip(order.tolist(), depths):
+        lengths[sym] = depth
+    code = CodeLengths(tuple(lengths))
+    return code, kl_divergence(DyadicPmf.from_code(code).probs, arr)
+
+
+def _ghc_merge(ua: float, ub: float) -> float:
+    return 0.5 * (ua + ub) - 1.0
+
+
+def _ghc_drop(ua: float, ub: float) -> bool:
+    return ub <= ua - 2.0
+
+
+def _huffman_merge(ka: float, kb: float) -> float:
+    return ka + kb
 
 
 def ghc(x) -> tuple:
@@ -75,63 +155,37 @@ def ghc(x) -> tuple:
     * merges them into a parent with u' = (u_a + u_b)/2 - 1, the log-domain
       form of replacing the pair by twice their geometric mean.
 
-    A merged parent satisfies u' < u_b, so it can overtake other pending
-    nodes; a priority queue handles that (a two-queue Huffman scan would
-    not).  Dropped nodes may be whole subtrees; every leaf beneath one gets
-    length inf.  Among equal u the lower original symbol index ends up with
-    the shorter (or equal) codeword, which keeps outputs deterministic.
+    Merged u never increase: the next pair both have u <= u_b, so their
+    parent has u'' <= u_b - 1 <= u'.  After one sort the build is therefore
+    linear, with merged nodes in a FIFO beside the sorted leaves (van
+    Leeuwen's two-queue method); the whole run is O(m log m) for the sort
+    plus O(m).  Dropped nodes may be whole subtrees; every leaf beneath one
+    gets length inf.  Among equal u the lower original symbol index ends up
+    with the shorter (or equal) codeword, which keeps outputs deterministic.
 
     Returns (CodeLengths in original symbol order, divergence in bits).
     Zero-weight symbols always get length inf.
     """
     arr = as_weights(x)
     lw = LogWeights.from_vector(arr)
-    finite = int(np.isfinite(lw.u).sum())
+    finite = np.count_nonzero(np.isfinite(lw.u))
     if finite == 0:
         raise ValueError("need at least one positive weight")
-    m = int(arr.size)
-
-    us: list = []
-    ties: list = []
-    kids: list = []
-    syms: list = []
-    heap = []
-    for rank in range(finite):
-        sym = int(lw.perm[rank])
-        us.append(float(lw.u[rank]))
-        ties.append(sym)
-        kids.append(None)
-        syms.append(sym)
-        # pop order: largest u first; among equal u the higher index pops
-        # first (gets merged deeper), so the lower index wins
-        heap.append((-us[rank], -sym, rank))
-    heapq.heapify(heap)
-
-    while len(heap) >= 2:
-        _, _, a = heapq.heappop(heap)
-        entry_b = heapq.heappop(heap)
-        b = entry_b[2]
-        ua, ub = us[a], us[b]
-        if ub <= ua - 2.0:
-            heapq.heappush(heap, entry_b)  # drop node a outright
-            continue
-        uc = 0.5 * (ua + ub) - 1.0
-        c = len(us)
-        us.append(uc)
-        ties.append(min(ties[a], ties[b]))
-        kids.append((a, b))
-        syms.append(-1)
-        heapq.heappush(heap, (-uc, -ties[c], c))
-
-    root = heap[0][2]
-    code = CodeLengths(tuple(_assign_depths(kids, syms, root, m)))
-    dyadic = DyadicPmf.from_code(code)
-    return code, kl_divergence(dyadic.probs, arr)
+    # pop order: largest u first; among equal u the higher index pops
+    # first (gets merged deeper), so the lower index wins
+    order = lw.perm[finite - 1::-1]
+    depths = _two_queue_depths(
+        lw.u[finite - 1::-1].tolist(), order.tolist(), _ghc_merge, _ghc_drop
+    )
+    return _code_and_divergence(order, depths, arr)
 
 
 def huffman(x) -> tuple:
     """Classical Huffman lengths for weight vector x, merging the two
     smallest weights into their sum.  No symbol is dropped.
+
+    The build shares :func:`ghc`'s two-queue builder, keyed on -x so that
+    the smallest weight pops first.
 
     The reported divergence is D(p || x) for the induced dyadic p, for
     comparison with :func:`ghc`; it is not the quantity Huffman coding
@@ -142,43 +196,17 @@ def huffman(x) -> tuple:
         raise ValueError("weights must be nonnegative")
     if int((arr > 0.0).sum()) < 2:
         raise ValueError("Huffman coding needs at least 2 positive weights")
-    m = int(arr.size)
-
-    ws: list = []
-    ties: list = []
-    kids: list = []
-    syms: list = []
-    heap = []
-    for sym in range(m):
-        ws.append(float(arr[sym]))
-        ties.append(sym)
-        kids.append(None)
-        syms.append(sym)
-        heap.append((ws[sym], -sym, sym))
-    heapq.heapify(heap)
-
-    while len(heap) >= 2:
-        _, _, a = heapq.heappop(heap)
-        _, _, b = heapq.heappop(heap)
-        c = len(ws)
-        ws.append(ws[a] + ws[b])
-        ties.append(min(ties[a], ties[b]))
-        kids.append((a, b))
-        syms.append(-1)
-        heapq.heappush(heap, (ws[c], -ties[c], c))
-
-    root = heap[0][2]
-    code = CodeLengths(tuple(_assign_depths(kids, syms, root, m)))
-    dyadic = DyadicPmf.from_code(code)
-    return code, kl_divergence(dyadic.probs, arr)
+    # pop order: smallest weight first, among equal weights the higher index
+    order = (arr.size - 1) - np.argsort(arr[::-1], kind="stable")
+    depths = _two_queue_depths((-arr[order]).tolist(), order.tolist(), _huffman_merge)
+    return _code_and_divergence(order, depths, arr)
 
 
-def _floor_neg_log2(q: float) -> int:
+def _floor_neg_log2(q: np.ndarray) -> np.ndarray:
     # floor(-log2 q) via frexp: q = mant * 2**e with mant in [0.5, 1),
     # so -log2 q lies in (-e, -e + 1], integer exactly when mant == 0.5.
-    mant, e = math.frexp(q)
-    length = (1 - e) if mant == 0.5 else -e
-    return max(length, 0)
+    mant, e = np.frexp(q)
+    return np.maximum(np.where(mant == 0.5, 1 - e, -e), 0)
 
 
 def gcc(q: Pmf) -> tuple:
@@ -194,26 +222,23 @@ def gcc(q: Pmf) -> tuple:
     divergence by 1 bit.  Returns (CodeLengths in original order, D bits).
     """
     arr = q.probs
-    m = q.m
     order = np.argsort(-arr, kind="stable")
-    lengths = [INF] * m
-    total = KraftSum.zero()
-    done = False
-    for idx in order:
-        value = float(arr[idx])
-        if value <= 0.0:
-            break
-        length = _floor_neg_log2(value)
-        total = total.plus_pow2(length)
-        if total.exceeds_one:
+    order = order[arr[order] > 0.0]
+    lengths = [INF] * q.m
+    units, scale = 0, 0  # the Kraft sum so far is units / 2**scale
+    for sym, length in zip(order.tolist(), _floor_neg_log2(arr[order]).tolist()):
+        if length > scale:
+            units <<= length - scale
+            scale = length
+        units += 1 << (scale - length)
+        if units > 1 << scale:
             raise RuntimeError(
                 "internal consistency error: greedy Kraft sum overshot 1"
             )
-        lengths[int(idx)] = length
-        if total.is_one:
-            done = True
+        lengths[sym] = length
+        if units == 1 << scale:
             break
-    if not done:
+    else:
         raise RuntimeError(
             "internal consistency error: exact Kraft equality never reached"
         )

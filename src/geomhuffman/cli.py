@@ -162,8 +162,11 @@ def _require_kind(kind: str, payload, wanted: str, command: str):
 def _maybe_write_codebook(args, code: dyadic.CodeLengths):
     if getattr(args, "codebook", None):
         tree = dyadic.canonical_tree(code)
-        with open(args.codebook, "w", encoding="ascii") as fh:
-            fh.write(dyadic.codebook_text(tree))
+        try:
+            with open(args.codebook, "w", encoding="ascii") as fh:
+                fh.write(dyadic.codebook_text(tree))
+        except OSError as exc:
+            raise _UsageError(f"cannot write {args.codebook}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

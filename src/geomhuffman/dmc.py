@@ -5,6 +5,7 @@ optimization with :func:`geomhuffman.approximators.ghc`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,8 +123,8 @@ def blahut_arimoto(dmc: DmcSpec, tol: float = 1e-9, max_iter: int = 100_000) -> 
     brackets the true capacity from above and below.  Raises
     ConvergenceError (carrying the best iterate) if max_iter is hit first.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError("tol must be finite and positive")
     h = dmc.h
     p = np.full(dmc.m, 1.0 / dmc.m)
     result = None

@@ -84,8 +84,10 @@ def dnc_capacity(spec: DncSpec) -> DncCapacity:
 
     The map is strictly decreasing from m > 1 at s = 0, so plain bisection
     on a doubled bracket is exact enough: 200 halvings collapse the bracket
-    to adjacent floats.  The returned capacity is converted to bits per
-    unit weight; p*_i = b**(-s w_i) follows from the root.
+    to adjacent floats.  The bracket starts near 1/w_min, which keeps huge
+    and tiny weights within those 200 halvings.  The returned capacity is
+    converted to bits per unit weight; p*_i = b**(-s w_i) follows from the
+    root.
     """
     w = spec.w
     ln_b = math.log(spec.b)
@@ -93,13 +95,15 @@ def dnc_capacity(spec: DncSpec) -> DncCapacity:
     def f(s: float) -> float:
         return float(np.exp(-s * w * ln_b).sum())
 
-    hi = 1.0
-    for _ in range(200):
-        if f(hi) < 1.0:
-            break
+    # Double from the power of two just below 1/w_min (capped to stay
+    # finite), so the root is a few doublings away at any weight scale.  The
+    # bracket ends stay powers of two, so bisection passes through the same
+    # states as from a start at 1.
+    hi = math.ldexp(1.0, min(-math.frexp(float(w.min()))[1], 1023))
+    while f(hi) >= 1.0:
         hi *= 2.0
-    else:
-        raise RuntimeError("could not bracket the capacity root")
+        if hi == math.inf:
+            raise ValueError("weights too small: the capacity root is out of float range")
     lo = 0.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -143,13 +147,15 @@ def lec(spec: DncSpec, tol: float = 1e-12, max_iter: int = 1000) -> LecResult:
 
     Starting from R = 1, each pass builds p = ghc(p*^R) and updates
     R = rate(p) / C.  The divergence D(p || p*^R), taken against the tilt
-    that built p, equals (R_new - R) * C * average_weight, so it vanishes
-    exactly at the fixed point; iteration stops when it falls below tol or
+    that built p, equals (R - R_new) * C * average_weight: it is negative
+    while the new code still raises the rate and vanishes exactly at the
+    fixed point.  Iteration stops when its magnitude falls below tol or
     when R stops moving (the |dR| fallback covers exact ties between
-    distinct optimal codes).
+    distinct optimal codes).  The returned R is the returned code's own
+    rate divided by C.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError("tol must be finite and positive")
     cap = dnc_capacity(spec)
     pstar = cap.p_star.probs
 
@@ -162,7 +168,7 @@ def lec(spec: DncSpec, tol: float = 1e-12, max_iter: int = 1000) -> LecResult:
         rate = entropy_per_weight(dyadic.probs, spec)
         r_new = rate / cap.C
         last = LecResult(R=r_new, lengths=code, rate=rate, iterations=iteration)
-        if div <= tol or abs(r_new - R) <= 1e-12:
+        if abs(div) <= tol or abs(r_new - R) <= 1e-12:
             return last
         R = r_new
     raise ConvergenceError(

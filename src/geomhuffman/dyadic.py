@@ -12,6 +12,7 @@ rather than floating point.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
@@ -35,25 +36,6 @@ class KraftSum:
 
     numerator: int
     exponent: int
-
-    @classmethod
-    def zero(cls) -> "KraftSum":
-        return cls(0, 0)
-
-    def plus_pow2(self, length: int) -> "KraftSum":
-        """Return self + 2**(-length), exactly."""
-        num, exp = self.numerator, self.exponent
-        if length >= exp:
-            num = (num << (length - exp)) + 1
-            exp = length
-        else:
-            num = num + (1 << (exp - length))
-        while num and num % 2 == 0 and exp > 0:
-            num //= 2
-            exp -= 1
-        if num == 0:
-            exp = 0
-        return KraftSum(num, exp)
 
     @property
     def is_one(self) -> bool:
@@ -87,17 +69,59 @@ def _check_length(entry) -> "int | float":
     return int(entry)
 
 
+def _checked_entries(raw) -> tuple:
+    """The entries of a length vector as plain ints and inf.
+
+    A vector of Python ints and float infs is returned as it is, with its
+    signs left to :func:`_finite_histogram`; anything else goes through
+    :func:`_check_length` entry by entry, which converts or rejects it.
+    """
+    entries = tuple(raw)
+    types = list(map(type, entries))
+    if set(types) <= {int, float} and types.count(float) == entries.count(INF):
+        return entries
+    return tuple(map(_check_length, entries))
+
+
+def _finite_histogram(entries: tuple) -> Counter:
+    """Counts of the finite lengths among checked entries."""
+    hist = Counter(entries)
+    hist.pop(INF, None)
+    if hist and min(hist) < 0:
+        raise ValueError("lengths must be nonnegative")
+    return hist
+
+
+def _raise_first_error(entries: tuple, max_len: int):
+    """Raise for the first entry, in order, that is malformed or above max_len."""
+    for raw in entries:
+        entry = _check_length(raw)
+        if entry != INF and entry > max_len:
+            raise GuardExceededError(f"length {entry} exceeds cap {max_len}")
+
+
+def _kraft_units(hist: Counter) -> tuple:
+    """Exact Kraft sum of a length histogram as (units, L): the sum is
+    units / 2**L with L the largest length, so a full code has
+    units == 2**L."""
+    deepest = max(hist)
+    return sum(n << (deepest - length) for length, n in hist.items()), deepest
+
+
+def _reduced(units: int, exponent: int) -> KraftSum:
+    """units / 2**exponent in lowest terms."""
+    if units == 0:
+        return KraftSum(0, 0)
+    shift = min((units & -units).bit_length() - 1, exponent)
+    return KraftSum(units >> shift, exponent - shift)
+
+
 def kraft_sum(lengths: Iterable, max_len: int = MAX_CODEWORD_LEN) -> KraftSum:
     """Exact sum of 2**(-l) over the finite entries of a length vector."""
-    total = KraftSum.zero()
-    for raw in lengths:
-        entry = _check_length(raw)
-        if entry == INF:
-            continue
-        if entry > max_len:
-            raise GuardExceededError(f"length {entry} exceeds cap {max_len}")
-        total = total.plus_pow2(entry)
-    return total
+    entries = tuple(lengths)
+    _raise_first_error(entries, max_len)
+    hist = _finite_histogram(_checked_entries(entries))
+    return _reduced(*_kraft_units(hist)) if hist else KraftSum(0, 0)
 
 
 @dataclass(frozen=True)
@@ -111,16 +135,19 @@ class CodeLengths:
     lengths: tuple
 
     def __post_init__(self):
-        entries = tuple(_check_length(e) for e in self.lengths)
+        entries = _checked_entries(self.lengths)
+        hist = _finite_histogram(entries)
         if not entries:
             raise ValueError("empty length vector")
-        finite = [e for e in entries if e != INF]
-        if not finite:
+        if not hist:
             raise ValueError("need at least one finite length")
-        total = kraft_sum(finite, max_len=MAX_TREE_LEN)
-        if not total.is_one:
+        if max(hist) > MAX_TREE_LEN:
+            _raise_first_error(entries, MAX_TREE_LEN)
+        units, deepest = _kraft_units(hist)
+        if units != 1 << deepest:
             raise ValueError(
-                f"lengths {entries} have Kraft sum {total}, expected exactly 1"
+                f"lengths {entries} have Kraft sum {_reduced(units, deepest)}, "
+                "expected exactly 1"
             )
         object.__setattr__(self, "lengths", entries)
 
@@ -155,9 +182,7 @@ class DyadicPmf:
 
     @classmethod
     def from_code(cls, code: CodeLengths) -> "DyadicPmf":
-        arr = np.array(
-            [0.0 if e == INF else 2.0 ** -e for e in code.lengths], dtype=np.float64
-        )
+        arr = np.exp2(-np.array(code.lengths, dtype=np.float64))
         if math.fsum(arr.tolist()) != 1.0:
             raise ValueError("induced dyadic probabilities do not sum to exactly 1")
         return cls(code, Pmf(arr))

@@ -1,0 +1,218 @@
+"""Reference implementations kept only for the tests.
+
+These are the heap-based ``ghc`` and ``huffman`` tree builders, the
+per-element ``KraftSum.plus_pow2`` fold and the entry-by-entry
+``CodeLengths`` check that the package used before its two-queue builder
+and histogram Kraft check, and the capacity bisection bracketed from 1.
+The property tests compare the package against them: same lengths
+(tie-breaks included), same divergences, same reduced Kraft sums or
+errors, bit-identical capacities.
+"""
+
+from __future__ import annotations
+
+import heapq
+import math
+
+import numpy as np
+
+from geomhuffman import INF, CodeLengths, KraftSum, LogWeights, kl_divergence
+from geomhuffman.errors import GuardExceededError
+from geomhuffman.pmf import as_weights
+
+MAX_CODEWORD_LEN = 64
+
+
+def _assign_depths(kids, syms, root: int, m: int) -> list:
+    lengths = [INF] * m
+    stack = [(root, 0)]
+    while stack:
+        node, depth = stack.pop()
+        if kids[node] is None:
+            lengths[syms[node]] = depth
+        else:
+            a, b = kids[node]
+            stack.append((a, depth + 1))
+            stack.append((b, depth + 1))
+    return lengths
+
+
+def ghc_lengths(x) -> tuple:
+    """Length tuple of the heap GHC build (no CodeLengths validation)."""
+    arr = as_weights(x)
+    lw = LogWeights.from_vector(arr)
+    finite = int(np.isfinite(lw.u).sum())
+    if finite == 0:
+        raise ValueError("need at least one positive weight")
+    m = int(arr.size)
+
+    us: list = []
+    ties: list = []
+    kids: list = []
+    syms: list = []
+    heap = []
+    for rank in range(finite):
+        sym = int(lw.perm[rank])
+        us.append(float(lw.u[rank]))
+        ties.append(sym)
+        kids.append(None)
+        syms.append(sym)
+        heap.append((-us[rank], -sym, rank))
+    heapq.heapify(heap)
+
+    while len(heap) >= 2:
+        _, _, a = heapq.heappop(heap)
+        entry_b = heapq.heappop(heap)
+        b = entry_b[2]
+        ua, ub = us[a], us[b]
+        if ub <= ua - 2.0:
+            heapq.heappush(heap, entry_b)
+            continue
+        uc = 0.5 * (ua + ub) - 1.0
+        c = len(us)
+        us.append(uc)
+        ties.append(min(ties[a], ties[b]))
+        kids.append((a, b))
+        syms.append(-1)
+        heapq.heappush(heap, (-uc, -ties[c], c))
+
+    return tuple(_assign_depths(kids, syms, heap[0][2], m))
+
+
+def huffman_lengths(x) -> tuple:
+    """Length tuple of the heap Huffman build (no CodeLengths validation)."""
+    arr = as_weights(x)
+    if np.any(arr < 0.0):
+        raise ValueError("weights must be nonnegative")
+    if int((arr > 0.0).sum()) < 2:
+        raise ValueError("Huffman coding needs at least 2 positive weights")
+    m = int(arr.size)
+
+    ws: list = []
+    ties: list = []
+    kids: list = []
+    syms: list = []
+    heap = []
+    for sym in range(m):
+        ws.append(float(arr[sym]))
+        ties.append(sym)
+        kids.append(None)
+        syms.append(sym)
+        heap.append((ws[sym], -sym, sym))
+    heapq.heapify(heap)
+
+    while len(heap) >= 2:
+        _, _, a = heapq.heappop(heap)
+        _, _, b = heapq.heappop(heap)
+        c = len(ws)
+        ws.append(ws[a] + ws[b])
+        ties.append(min(ties[a], ties[b]))
+        kids.append((a, b))
+        syms.append(-1)
+        heapq.heappush(heap, (ws[c], -ties[c], c))
+
+    return tuple(_assign_depths(kids, syms, heap[0][2], m))
+
+
+def _with_divergence(lengths: tuple, x) -> tuple:
+    """CodeLengths and D(p || x), with p built entry by entry as 2.0**-l."""
+    p = np.array([0.0 if e == INF else 2.0 ** -e for e in lengths], dtype=np.float64)
+    return CodeLengths(lengths), kl_divergence(p, as_weights(x))
+
+
+def ghc(x) -> tuple:
+    return _with_divergence(ghc_lengths(x), x)
+
+
+def huffman(x) -> tuple:
+    return _with_divergence(huffman_lengths(x), x)
+
+
+def _check_length(entry):
+    if entry == INF:
+        return INF
+    if isinstance(entry, bool):
+        raise ValueError("lengths must be integers or inf")
+    if isinstance(entry, float):
+        if not entry.is_integer():
+            raise ValueError(f"length {entry!r} is not an integer or inf")
+        entry = int(entry)
+    if not isinstance(entry, (int, np.integer)):
+        raise ValueError(f"length {entry!r} is not an integer or inf")
+    if entry < 0:
+        raise ValueError("lengths must be nonnegative")
+    return int(entry)
+
+
+def plus_pow2(total: KraftSum, length: int) -> KraftSum:
+    """Return total + 2**(-length), exactly, kept reduced."""
+    num, exp = total.numerator, total.exponent
+    if length >= exp:
+        num = (num << (length - exp)) + 1
+        exp = length
+    else:
+        num = num + (1 << (exp - length))
+    while num and num % 2 == 0 and exp > 0:
+        num //= 2
+        exp -= 1
+    if num == 0:
+        exp = 0
+    return KraftSum(num, exp)
+
+
+def kraft_sum(lengths, max_len: int = MAX_CODEWORD_LEN) -> KraftSum:
+    """The per-element exact fold: one reduced KraftSum per finite entry."""
+    total = KraftSum(0, 0)
+    for raw in lengths:
+        entry = _check_length(raw)
+        if entry == INF:
+            continue
+        if entry > max_len:
+            raise GuardExceededError(f"length {entry} exceeds cap {max_len}")
+        total = plus_pow2(total, entry)
+    return total
+
+
+def code_lengths(lengths) -> tuple:
+    """The entries CodeLengths stored before the histogram check, or the
+    exception it raised, checked one entry at a time."""
+    entries = tuple(_check_length(e) for e in lengths)
+    if not entries:
+        raise ValueError("empty length vector")
+    finite = [e for e in entries if e != INF]
+    if not finite:
+        raise ValueError("need at least one finite length")
+    total = kraft_sum(finite, max_len=1024)
+    if not total.is_one:
+        raise ValueError(
+            f"lengths {entries} have Kraft sum {total}, expected exactly 1"
+        )
+    return entries
+
+
+def dnc_capacity_bits(w, b: float = 2.0) -> float:
+    """Capacity in bits per unit weight, bisected on a bracket doubled from 1."""
+    w = np.asarray(w, dtype=np.float64)
+    ln_b = math.log(b)
+
+    def f(s: float) -> float:
+        return float(np.exp(-s * w * ln_b).sum())
+
+    hi = 1.0
+    for _ in range(200):
+        if f(hi) < 1.0:
+            break
+        hi *= 2.0
+    else:
+        raise RuntimeError("could not bracket the capacity root")
+    lo = 0.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if f(mid) >= 1.0:
+            lo = mid
+        else:
+            hi = mid
+    s = lo if abs(f(lo) - 1.0) <= abs(f(hi) - 1.0) else hi
+    return s * math.log2(b)

@@ -192,6 +192,32 @@ class TestSubcommands:
         code, _, _ = run(capsys, "ghc", "/definitely/not/here.json")
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("dmc", "dmc", "--tol", "nan"), ("dmc", "dmc", "--tol", "inf"),
+         ("dnc", "dnc", "--lec", "--tol", "nan")],
+    )
+    def test_non_finite_tolerance_is_input_error(self, capsys, specs, argv):
+        command, key, *flags = argv
+        code, out, err = run(capsys, command, specs[key], *flags)
+        assert code == 1 and out == ""
+        assert err == "error: tol must be finite and positive\n"
+
+    def test_unwritable_codebook_is_input_error(self, capsys, specs, tmp_path):
+        target = tmp_path / "missing" / "x.tsv"
+        code, out, err = run(capsys, "ghc", specs["pmf"], "--codebook", str(target))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: cannot write {target}:")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("w", ["1e300", "1e-300"])
+    def test_dnc_extreme_weights(self, capsys, tmp_path, w):
+        path = tmp_path / "w.json"
+        path.write_text(f'{{"type": "dnc", "weights": [{w}, {w}]}}')
+        code, out, _ = run(capsys, "dnc", str(path))
+        assert code == 0
+        assert json.loads(out)["capacity_bits"] == pytest.approx(1.0 / float(w), rel=1e-12)
+
     def test_bad_subcommand_is_input_error(self, capsys):
         code, _, _ = run(capsys, "frobnicate")
         assert code == 1

@@ -124,6 +124,11 @@ class TestBlahutArimoto:
         best = exc_info.value.best
         assert best is not None and 0.25 < best.C < 0.33
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1e-9])
+    def test_rejects_tolerance_not_finite_and_positive(self, tol):
+        with pytest.raises(ValueError, match="finite and positive"):
+            blahut_arimoto(Z_CHANNEL, tol=tol)
+
     def test_deterministic(self):
         a = blahut_arimoto(Z_CHANNEL, tol=1e-9)
         b = blahut_arimoto(Z_CHANNEL, tol=1e-9)

@@ -1,5 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference
 
 from geomhuffman import (
     INF,
@@ -85,6 +91,30 @@ class TestDncCapacity:
         cap3 = dnc_capacity(DncSpec(np.array([1.0, 2.0]), b=3.0))
         assert cap3.C == pytest.approx(cap2.C, abs=1e-12)
         assert np.allclose(cap3.p_star.probs, cap2.p_star.probs, atol=1e-12)
+
+
+    def test_bracket_start_keeps_capacities_bit_identical(self):
+        # a bracket doubled from a power of two near 1/w_min bisects through
+        # the same states as one doubled from 1
+        rng = np.random.default_rng(41)
+        weights = [W12.w, W123.w, [0.5, 1.7, 2.2, 9.0], [1.0, 1.0], [2.0, 3.0, 5.0, 7.0],
+                   [1.0, 3.0, 4.0, 4.0, 9.0], [1.0, 2.0, 2.0, 5.0], [1, 8, 5, 4, 1, 6, 4, 6]]
+        weights += [np.sort(rng.uniform(0.1, 10.0, size=int(rng.integers(2, 10)))) for _ in range(50)]
+        weights += [np.exp(rng.uniform(math.log(1e-3), math.log(1e3), size=int(rng.integers(2, 65))))
+                    for _ in range(200)]
+        for w in weights:
+            assert dnc_capacity(DncSpec(np.array(w, dtype=float))).C == reference.dnc_capacity_bits(w)
+
+    @pytest.mark.parametrize("w", [1e300, 1e-300])
+    def test_extreme_equal_weights_match_closed_form(self, w):
+        # m equal weights: m * 2**(-C w) = 1, so C = log2(m) / w
+        cap = dnc_capacity(DncSpec(np.array([w, w])))
+        assert cap.C == pytest.approx(1.0 / w, rel=1e-12)
+        assert np.array_equal(cap.p_star.probs, [0.5, 0.5])
+
+    def test_capacity_out_of_float_range_is_value_error(self):
+        with pytest.raises(ValueError, match="out of float range"):
+            dnc_capacity(DncSpec(np.array([1e-308, 1e-308])))
 
 
 class TestEntropyPerWeight:
@@ -178,11 +208,43 @@ class TestLec:
             assert code.lengths == oracle_code.lengths
             assert abs(d - oracle_d) <= 1e-12
 
+    def test_runs_to_the_fixed_point(self):
+        # the divergence is negative while a step still raises the rate;
+        # stopping on div <= tol returned rate 1.064516 here
+        spec = DncSpec(np.array([1.0, 8.0, 5.0, 4.0, 1.0, 6.0, 4.0, 6.0]))
+        res = lec(spec)
+        assert res.rate >= 1.0677966  # 1.067797 to six places
+        assert _one_more_step_rate(spec, res) <= res.rate
+        assert res.R == res.rate / dnc_capacity(spec).C
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(st.floats(min_value=0.5, max_value=8.0), st.integers(1, 9).map(float)),
+            min_size=2,
+            max_size=24,
+        )
+    )
+    def test_one_more_step_never_raises_the_rate(self, w):
+        spec = DncSpec(np.array(w))
+        res = lec(spec)
+        assert _one_more_step_rate(spec, res) <= res.rate * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0])
+    def test_rejects_tolerance_not_finite_and_positive(self, tol):
+        with pytest.raises(ValueError, match="finite and positive"):
+            lec(W123, tol=tol)
+
     def test_iteration_cap_carries_best(self):
         with pytest.raises(ConvergenceError) as exc_info:
             lec(W123, max_iter=1)
         assert exc_info.value.best is not None
         assert exc_info.value.best.lengths.lengths == (1, 2, 2)
+
+
+def _one_more_step_rate(spec: DncSpec, res) -> float:
+    code, _ = ghc(weighted_target(dnc_capacity(spec).p_star, res.R))
+    return entropy_per_weight(DyadicPmf.from_code(code).probs, spec)
 
 
 def _brute_force_max_rate(spec: DncSpec) -> float:

@@ -1,0 +1,162 @@
+"""The two-queue builder and the histogram Kraft check against the heap
+builders and per-element fold they replaced (``reference.py``)."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference
+from geomhuffman import INF, CodeLengths, Pmf, ghc, huffman, kraft_sum, product_pmf
+from geomhuffman.errors import GuardExceededError
+
+# exact ties, zeros, powers of two and pairs exactly 4x apart (the GHC drop
+# boundary u_b == u_a - 2), mixed with arbitrary positive weights and with
+# weights a few ulps apart, whose merged keys can tie after rounding
+_POOL = [0.0, 0.25, 0.5, 0.75, 1.0, 1.0, 2.0, 3.0, 4.0, 4.0, 8.0, 12.0, 16.0]
+_weights = st.lists(
+    st.one_of(
+        st.sampled_from(_POOL),
+        st.floats(min_value=1e-9, max_value=1e3, allow_nan=False),
+        st.tuples(st.sampled_from([0.5, 1.0, 2.0, 3.0]), st.integers(-3, 3)).map(
+            lambda vj: vj[0] * (1.0 + vj[1] * 2.0**-52)
+        ),
+    ),
+    min_size=1,
+    max_size=48,
+)
+# inputs on which a merged queue kept in plain FIFO order, without the
+# equal-key placement by tie index, gives other lengths than the heap
+_ROUNDED_TIES = [
+    ("ghc", [2.9999999999999982, 2.9999999999999987, 3.0000000000000018,
+             2.999999999999999, 2.9999999999999987]),
+    ("ghc", [2.0, 2.0, 2.0000000000000004, 2.0000000000000004, 2.000000000000001]),
+    ("huffman", [2.999999999999999, 0.5, 0.5, 2.000000000000001, 2.000000000000001,
+                 1.0000000000000004, 2.0000000000000013]),
+]
+_scales = st.sampled_from([1.0, 2.0**-40, 2.0**30, 0.1, 3.0])
+
+
+def _same(got, want):
+    code, d = got
+    ref_code, ref_d = want
+    assert code.lengths == ref_code.lengths
+    assert d == ref_d or (math.isnan(d) and math.isnan(ref_d))
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except (ValueError, GuardExceededError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestBuilderMatchesHeap:
+    @settings(max_examples=400, deadline=None)
+    @given(_weights, _scales)
+    def test_ghc(self, xs, scale):
+        x = np.array(xs) * scale
+        if not np.any(x > 0.0):
+            return
+        _same(ghc(x), reference.ghc(x))
+
+    @settings(max_examples=400, deadline=None)
+    @given(_weights, _scales)
+    def test_huffman(self, xs, scale):
+        x = np.array(xs) * scale
+        if int((x > 0.0).sum()) < 2:
+            return
+        _same(huffman(x), reference.huffman(x))
+
+    @pytest.mark.parametrize("name, xs", _ROUNDED_TIES)
+    def test_rounded_key_ties(self, name, xs):
+        fn = {"ghc": ghc, "huffman": huffman}[name]
+        _same(fn(np.array(xs)), getattr(reference, name)(np.array(xs)))
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        st.lists(st.floats(min_value=0.01, max_value=1.0), min_size=2, max_size=3),
+        st.integers(min_value=1, max_value=8),
+    )
+    def test_products(self, raw, k):
+        x = product_pmf(Pmf.normalized(np.array(raw)), k).probs
+        _same(ghc(x), reference.ghc(x))
+        _same(huffman(x), reference.huffman(x))
+
+    @pytest.mark.parametrize(
+        "base, k",
+        [
+            ([0.328, 0.32, 0.22, 0.11, 0.022], 6),
+            ([0.6, 0.3, 0.1], 8),
+            ([0.5, 0.25, 0.25], 8),
+            ([0.9, 0.05, 0.05], 6),
+        ],
+    )
+    def test_named_products(self, base, k):
+        x = product_pmf(Pmf(np.array(base)), k).probs
+        _same(ghc(x), reference.ghc(x))
+        _same(huffman(x), reference.huffman(x))
+
+    def test_uniform_4096(self):
+        x = np.full(4096, 1.0 / 4096)
+        _same(ghc(x), reference.ghc(x))
+        _same(huffman(x), reference.huffman(x))
+        assert set(ghc(x)[0].lengths) == {12}
+
+
+_length_entries = st.one_of(
+    st.integers(min_value=0, max_value=64),
+    st.just(INF),
+    st.integers(min_value=-3, max_value=80),
+    st.sampled_from([1.5, 2.0, -INF, math.nan, True, np.int64(3), np.float64(INF)]),
+)
+
+
+class TestHistogramKraft:
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.one_of(st.integers(min_value=0, max_value=64), st.just(INF)), max_size=40))
+    def test_kraft_sum_equals_fold(self, lengths):
+        got = kraft_sum(lengths)
+        want = reference.kraft_sum(lengths)
+        assert (got.numerator, got.exponent) == (want.numerator, want.exponent)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(_length_entries, max_size=12), st.sampled_from([64, 70, 1024]))
+    def test_kraft_sum_rejects_as_fold(self, lengths, max_len):
+        got = _outcome(kraft_sum, lengths, max_len)
+        want = _outcome(reference.kraft_sum, lengths, max_len)
+        if got[0] == "ok":
+            got = ("ok", (got[1].numerator, got[1].exponent))
+            want = ("ok", (want[1].numerator, want[1].exponent))
+        assert got == want
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(_length_entries, max_size=8))
+    def test_code_lengths_accept_and_reject_as_before(self, lengths):
+        got = _outcome(lambda v: CodeLengths(tuple(v)).lengths, lengths)
+        want = _outcome(reference.code_lengths, lengths)
+        assert got == want
+        if got[0] == "ok":
+            assert [type(e) for e in got[1]] == [type(e) for e in want[1]]
+
+    @settings(max_examples=100, deadline=None)
+    @given(_weights)
+    def test_code_lengths_of_full_codes(self, xs):
+        x = np.array(xs)
+        if not np.any(x > 0.0):
+            return
+        lengths = reference.ghc_lengths(x)
+        assert CodeLengths(lengths).lengths == reference.code_lengths(lengths)
+        # a full code plus one more leaf, and with its deepest leaf removed
+        deepest = max(e for e in lengths if e != INF)
+        for bad in (lengths + (deepest,), tuple(INF if e == deepest else e for e in lengths)):
+            if any(e != INF for e in bad):
+                assert _outcome(CodeLengths, bad)[0] == "ValueError"
+                assert _outcome(CodeLengths, bad)[1] == _outcome(reference.code_lengths, bad)[1]
+
+    def test_guard_above_tree_cap(self):
+        lengths = (1025, 1) + (2,) * 2
+        with pytest.raises(GuardExceededError, match="length 1025 exceeds cap 1024"):
+            CodeLengths(lengths)
