@@ -21,6 +21,16 @@ from .dyadic import INF, CodeLengths, DyadicPmf
 from .pmf import Pmf, as_weights, kl_divergence
 
 
+def _checked_weights(x) -> np.ndarray:
+    """The float vector behind x; every entry must be finite and >= 0."""
+    arr = as_weights(x)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("weights must be finite")
+    if np.any(arr < 0.0):
+        raise ValueError("weights must be nonnegative")
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class LogWeights:
     """Weights in the log domain: u_i = -log2(x_i), sorted ascending.
@@ -36,9 +46,7 @@ class LogWeights:
 
     @classmethod
     def from_vector(cls, x) -> "LogWeights":
-        arr = as_weights(x)
-        if np.any(arr < 0.0):
-            raise ValueError("weights must be nonnegative")
+        arr = _checked_weights(x)
         u = np.where(arr > 0.0, -np.log2(np.where(arr > 0.0, arr, 1.0)), np.inf)
         perm = np.argsort(u, kind="stable")
         out_u = u[perm]
@@ -191,9 +199,7 @@ def huffman(x) -> tuple:
     comparison with :func:`ghc`; it is not the quantity Huffman coding
     minimizes and is +inf when x contains zeros.
     """
-    arr = as_weights(x)
-    if np.any(arr < 0.0):
-        raise ValueError("weights must be nonnegative")
+    arr = _checked_weights(x)
     if int((arr > 0.0).sum()) < 2:
         raise ValueError("Huffman coding needs at least 2 positive weights")
     # pop order: smallest weight first, among equal weights the higher index

@@ -13,7 +13,7 @@ import numpy as np
 from .approximators import ghc
 from .dyadic import CodeLengths, DyadicPmf
 from .errors import ConvergenceError, DimensionMismatchError, GuardExceededError, SupportConditionError
-from .pmf import PRODUCT_CAP, Pmf, kl_divergence, product_pmf
+from .pmf import PRODUCT_CAP, Pmf, _coordinate_sum, kl_divergence, product_pmf
 
 COLUMN_TOL = 1e-9
 
@@ -92,25 +92,36 @@ def output_pmf(dmc: DmcSpec, p: Pmf) -> Pmf:
     return Pmf.normalized(dmc.h @ p.probs)
 
 
-def _per_input_divergence(h: np.ndarray, r: np.ndarray) -> np.ndarray:
+def _per_input_divergence(
+    h: np.ndarray, r: np.ndarray, mask: np.ndarray, lg: np.ndarray, work: np.ndarray
+) -> np.ndarray:
     """D_i = sum_j h_ji log2(h_ji / r_j) for each input i, in bits.
 
     Terms with h_ji = 0 contribute 0; h_ji > 0 with r_j = 0 yields +inf.
+    ``mask`` is h > 0, ``lg`` an array shaped like h that holds zeros
+    outside the mask (only entries inside it are ever written) and ``work``
+    scratch space shaped like h; all three depend only on h, so a solver
+    loop builds them once.  Calls must run under
+    ``np.errstate(divide="ignore", invalid="ignore")``.
     """
-    mask = h > 0.0
-    lg = np.zeros_like(h)
+    np.divide(h, r[:, None], out=work)
+    np.log2(work, out=lg, where=mask)
+    # h_ji * lg_ji is exactly +0.0 wherever h_ji = 0
+    np.multiply(h, lg, out=work)
+    return work.sum(axis=0)
+
+
+def _divergence_at(h: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """:func:`_per_input_divergence` for a single output PMF r."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = h / r[:, None]
-        np.log2(ratio, out=lg, where=mask)
-    terms = np.where(mask, h * lg, 0.0)
-    return terms.sum(axis=0)
+        return _per_input_divergence(h, r, h > 0.0, np.zeros_like(h), np.empty_like(h))
 
 
 def mutual_information(dmc: DmcSpec, p: Pmf) -> float:
     """I(p) = sum_i p_i sum_j h_ji log2(h_ji / r_j), in bits per use."""
     _check_dims(dmc, p)
     r = dmc.h @ p.probs
-    div = _per_input_divergence(dmc.h, r)
+    div = _divergence_at(dmc.h, r)
     live = p.probs > 0.0
     return float(p.probs[live] @ div[live])
 
@@ -120,34 +131,39 @@ def blahut_arimoto(dmc: DmcSpec, tol: float = 1e-9, max_iter: int = 100_000) -> 
 
     Starts from the uniform input PMF (deterministic) and stops when the
     standard gap max_i D_i - sum_i p_i D_i drops below tol; that gap
-    brackets the true capacity from above and below.  Raises
-    ConvergenceError (carrying the best iterate) if max_iter is hit first.
+    brackets the true capacity from above and below.  The loop works on
+    plain arrays and builds the validated result once, from the iterate
+    whose gap it reports.  Raises ConvergenceError (carrying that result
+    as the best iterate) if max_iter is hit first or the update underflows.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError("tol must be finite and positive")
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
     h = dmc.h
+    mask, lg, work = h > 0.0, np.zeros_like(h), np.empty_like(h)
     p = np.full(dmc.m, 1.0 / dmc.m)
-    result = None
-    for _ in range(max_iter):
-        r = h @ p
-        div = _per_input_divergence(h, r)
-        live = p > 0.0
-        lower = float(p[live] @ div[live])
-        gap = float(div.max() - lower)
-        result = CapacityResult(C=lower, p_star=Pmf.normalized(p), achieved_tol=gap)
-        if gap <= tol:
-            return result
-        top = float(div[live].max())
-        if not np.isfinite(top):
-            raise ConvergenceError(
-                "capacity solver hit numerical underflow", best=result
-            )
-        scaled = np.where(live, p * np.exp2(div - top), 0.0)
-        p = scaled / scaled.sum()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(max_iter):
+            r = h @ p
+            div = _per_input_divergence(h, r, mask, lg, work)
+            live = p > 0.0
+            lower = float(p[live] @ div[live])
+            gap = float(div.max() - lower)
+            if gap <= tol:
+                return CapacityResult(C=lower, p_star=Pmf.normalized(p), achieved_tol=gap)
+            top = float(div[live].max())
+            if not math.isfinite(top):
+                raise ConvergenceError(
+                    "capacity solver hit numerical underflow",
+                    best=CapacityResult(C=lower, p_star=Pmf.normalized(p), achieved_tol=gap),
+                )
+            scaled = np.where(live, p * np.exp2(div - top), 0.0)
+            last, p = p, scaled / scaled.sum()
     raise ConvergenceError(
         f"capacity solver did not reach tol={tol} within {max_iter} iterations "
-        f"(gap {result.achieved_tol:.3e})",
-        best=result,
+        f"(gap {gap:.3e})",
+        best=CapacityResult(C=lower, p_star=Pmf.normalized(last), achieved_tol=gap),
     )
 
 
@@ -156,7 +172,7 @@ def kkt_check(dmc: DmcSpec, p_star: Pmf, tol: float) -> bool:
     support of p_star and no larger than that common value elsewhere."""
     _check_dims(dmc, p_star)
     r = dmc.h @ p_star.probs
-    div = _per_input_divergence(dmc.h, r)
+    div = _divergence_at(dmc.h, r)
     live = p_star.probs > tol
     if not np.any(live):
         return False
@@ -207,13 +223,9 @@ def _block_mutual_information(h: np.ndarray, p_block: np.ndarray, k: int) -> flo
     np.log2(h, out=lg, where=mask)
     phi = np.where(mask, h * lg, 0.0).sum(axis=0)  # per-input -H(output|input)
 
-    tensor = p_block.reshape((m,) * k)
-    term1 = 0.0
-    for axis in range(k):
-        marginal = tensor.sum(axis=tuple(a for a in range(k) if a != axis))
-        term1 += float(marginal @ phi)
+    term1 = _coordinate_sum(p_block, m, k, phi)
 
-    out = tensor
+    out = p_block.reshape((m,) * k)
     for _ in range(k):
         # contract current axis 0 (an input) with h; output axis lands last
         out = np.tensordot(out, h, axes=([0], [1]))

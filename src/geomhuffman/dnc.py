@@ -17,7 +17,7 @@ import numpy as np
 from .approximators import ghc
 from .dyadic import CodeLengths, DyadicPmf
 from .errors import ConvergenceError, DimensionMismatchError
-from .pmf import PRODUCT_CAP, NonNegVector, Pmf, entropy, product_pmf
+from .pmf import PRODUCT_CAP, NonNegVector, Pmf, _coordinate_sum, entropy, product_pmf
 
 ROOT_RESIDUAL_TOL = 1e-12
 
@@ -84,39 +84,53 @@ def dnc_capacity(spec: DncSpec) -> DncCapacity:
 
     The map is strictly decreasing from m > 1 at s = 0, so plain bisection
     on a doubled bracket is exact enough: 200 halvings collapse the bracket
-    to adjacent floats.  The bracket starts near 1/w_min, which keeps huge
-    and tiny weights within those 200 halvings.  The returned capacity is
-    converted to bits per unit weight; p*_i = b**(-s w_i) follows from the
-    root.
+    to adjacent floats.  The root is solved for the weights scaled by a
+    power of two that brings w_min near 1 (as far as the largest weight
+    stays finite), so the root of the scaled problem sits a few doublings
+    from 1 and the scale carries it back exactly; a capacity near the top
+    of the float range (w_min near 1e-308) stays reachable.  The returned
+    capacity is converted to bits per unit weight; p*_i = b**(-s w_i)
+    follows from the root.
     """
     w = spec.w
     ln_b = math.log(spec.b)
+    # w * 2**shift is exact, and the scaled root is s * 2**-shift exactly
+    shift = min(-math.frexp(float(w.min()))[1], 1024 - math.frexp(float(w.max()))[1])
+    w_scaled = np.ldexp(w, shift)
 
     def f(s: float) -> float:
-        return float(np.exp(-s * w * ln_b).sum())
+        # np.add.reduce is ndarray.sum without its Python wrapper; bisection
+        # calls f about 60 times
+        return float(np.add.reduce(np.exp(-s * w_scaled * ln_b)))
 
-    # Double from the power of two just below 1/w_min (capped to stay
-    # finite), so the root is a few doublings away at any weight scale.  The
-    # bracket ends stay powers of two, so bisection passes through the same
-    # states as from a start at 1.
-    hi = math.ldexp(1.0, min(-math.frexp(float(w.min()))[1], 1023))
-    while f(hi) >= 1.0:
-        hi *= 2.0
-        if hi == math.inf:
+    # Products s * w_i beyond the float range give exp(-inf) = 0 exactly,
+    # which is the right term; only the overflow warning is noise.
+    with np.errstate(over="ignore"):
+        # Double from the power of two just below 1/w_min (capped to stay
+        # finite), so the root is a few doublings away.  The bracket ends
+        # stay powers of two, so bisection passes through the same states
+        # as from a start at 1.
+        hi = math.ldexp(1.0, min(-math.frexp(float(w_scaled.min()))[1], 1023))
+        while f(hi) >= 1.0:
+            hi *= 2.0
+            if hi == math.inf:
+                raise ValueError("weights too small: the capacity root is out of float range")
+        lo = 0.0
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:
+                break
+            if f(mid) >= 1.0:
+                lo = mid
+            else:
+                hi = mid
+        s = lo if abs(f(lo) - 1.0) <= abs(f(hi) - 1.0) else hi
+
+        c_scaled = s * math.log2(spec.b)
+        c_bits = float(np.ldexp(c_scaled, shift))
+        if not math.isfinite(c_bits):
             raise ValueError("weights too small: the capacity root is out of float range")
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if f(mid) >= 1.0:
-            lo = mid
-        else:
-            hi = mid
-    s = lo if abs(f(lo) - 1.0) <= abs(f(hi) - 1.0) else hi
-
-    c_bits = s * math.log2(spec.b)
-    p_star = np.exp2(-c_bits * w)
+        p_star = np.exp2(-c_scaled * w_scaled)
     residual = abs(math.fsum(p_star.tolist()) - 1.0)
     if residual > ROOT_RESIDUAL_TOL:
         raise RuntimeError(f"capacity root residual {residual:.3e} above tolerance")
@@ -191,12 +205,7 @@ def optimize_block_dnc(spec: DncSpec, k: int, cap: int = PRODUCT_CAP) -> BlockDn
     code, d_total = ghc(target.probs)
     dyadic = DyadicPmf.from_code(code)
 
-    m = spec.m
-    tensor = dyadic.probs.probs.reshape((m,) * k)
-    avg_weight = 0.0
-    for axis in range(k):
-        marginal = tensor.sum(axis=tuple(a for a in range(k) if a != axis))
-        avg_weight += float(marginal @ spec.w)
+    avg_weight = _coordinate_sum(dyadic.probs.probs, spec.m, k, spec.w)
     rate = entropy(dyadic.probs) / avg_weight
 
     w_min = float(spec.w.min())

@@ -132,6 +132,21 @@ def kl_divergence(p: Pmf, x) -> float:
     return float((ps * (np.log2(ps) - np.log2(xs))).sum())
 
 
+def _coordinate_sum(p_block: np.ndarray, m: int, k: int, values: np.ndarray) -> float:
+    """sum over the k coordinates of E[values[x_axis]] under a block PMF.
+
+    p_block holds m**k entries in :func:`product_pmf`'s lexicographic
+    order; each coordinate's marginal is taken by summing out the other
+    axes, and the k expectations are added in axis order.
+    """
+    tensor = p_block.reshape((m,) * k)
+    total = 0.0
+    for axis in range(k):
+        marginal = tensor.sum(axis=tuple(a for a in range(k) if a != axis))
+        total += float(marginal @ values)
+    return total
+
+
 def product_pmf(p: Pmf, k: int, cap: int = PRODUCT_CAP) -> Pmf:
     """k-fold product PMF over m**k tuples in lexicographic order.
 

@@ -26,6 +26,18 @@ class TestLogWeights:
         assert lw.u[-1] == math.inf
         assert list(lw.perm) == [2, 0, 3, 1]  # ties by original index
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("build", [LogWeights.from_vector, ghc, huffman])
+    def test_non_finite_weight_rejected(self, build, bad):
+        # NaN used to pass as a zero weight (ghc: lengths (inf, 1, 1), D = -1)
+        with pytest.raises(ValueError, match="weights must be finite"):
+            build(np.array([bad, 1.0, 1.0]))
+
+    def test_negative_weight_rejected(self):
+        for build in (LogWeights.from_vector, ghc, huffman):
+            with pytest.raises(ValueError, match="weights must be nonnegative"):
+                build(np.array([-0.5, 1.0, 1.0]))
+
 
 class TestGhc:
     def test_worked_example(self):

@@ -203,6 +203,20 @@ class TestSubcommands:
         assert code == 1 and out == ""
         assert err == "error: tol must be finite and positive\n"
 
+    @pytest.mark.parametrize("max_iter", ["0", "-3"])
+    def test_max_iter_below_one_is_input_error(self, capsys, specs, max_iter):
+        code, out, err = run(capsys, "dmc", specs["dmc"], "--max-iter", max_iter)
+        assert code == 1 and out == ""
+        assert err == "error: max_iter must be >= 1\n"
+
+    def test_iteration_cap_is_guard_error(self, capsys, specs):
+        code, out, err = run(capsys, "dmc", specs["dmc"], "--max-iter", "2")
+        assert code == 2 and out == ""
+        assert err == (
+            "error: capacity solver did not reach tol=1e-09 within 2 iterations "
+            "(gap 6.345e-02)\n"
+        )
+
     def test_unwritable_codebook_is_input_error(self, capsys, specs, tmp_path):
         target = tmp_path / "missing" / "x.tsv"
         code, out, err = run(capsys, "ghc", specs["pmf"], "--codebook", str(target))
@@ -217,6 +231,13 @@ class TestSubcommands:
         code, out, _ = run(capsys, "dnc", str(path))
         assert code == 0
         assert json.loads(out)["capacity_bits"] == pytest.approx(1.0 / float(w), rel=1e-12)
+
+    def test_dnc_mixed_extreme_weights_print_no_warning(self, capsys, tmp_path):
+        path = tmp_path / "w.json"
+        path.write_text('{"type": "dnc", "weights": [1e-300, 1e300]}')
+        code, _, err = run(capsys, "dnc", str(path))
+        assert code == 0
+        assert err.count("\n") == 1 and err.startswith("dnc: C=")
 
     def test_bad_subcommand_is_input_error(self, capsys):
         code, _, _ = run(capsys, "frobnicate")

@@ -129,6 +129,12 @@ class TestBlahutArimoto:
         with pytest.raises(ValueError, match="finite and positive"):
             blahut_arimoto(Z_CHANNEL, tol=tol)
 
+    @pytest.mark.parametrize("max_iter", [0, -3])
+    def test_rejects_max_iter_below_one(self, max_iter):
+        # the loop never ran, so there was no result to report
+        with pytest.raises(ValueError, match="max_iter must be >= 1"):
+            blahut_arimoto(Z_CHANNEL, max_iter=max_iter)
+
     def test_deterministic(self):
         a = blahut_arimoto(Z_CHANNEL, tol=1e-9)
         b = blahut_arimoto(Z_CHANNEL, tol=1e-9)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -112,9 +113,24 @@ class TestDncCapacity:
         assert cap.C == pytest.approx(1.0 / w, rel=1e-12)
         assert np.array_equal(cap.p_star.probs, [0.5, 0.5])
 
+    def test_capacity_near_float_max_solves(self):
+        # C = 1/w up to about 1e308 is finite, but a doubling bracket on the
+        # unscaled weights would need to reach 2**1024
+        for w in (1e-308, 2.0**-1023, 5e-308):
+            cap = dnc_capacity(DncSpec(np.array([w, w])))
+            assert cap.C == pytest.approx(1.0 / w, rel=1e-12)
+            assert np.allclose(cap.p_star.probs, 0.5, rtol=0.0, atol=1e-15)
+
+    def test_mixed_extremes_solve_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cap = dnc_capacity(DncSpec(np.array([1e-300, 1e300])))
+        assert math.isfinite(cap.C) and cap.root_residual <= 1e-12
+
     def test_capacity_out_of_float_range_is_value_error(self):
+        # C = 1/w = 2**1074 for the smallest subnormal weight
         with pytest.raises(ValueError, match="out of float range"):
-            dnc_capacity(DncSpec(np.array([1e-308, 1e-308])))
+            dnc_capacity(DncSpec(np.array([5e-324, 5e-324])))
 
 
 class TestEntropyPerWeight:

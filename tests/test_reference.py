@@ -1,5 +1,6 @@
-"""The two-queue builder and the histogram Kraft check against the heap
-builders and per-element fold they replaced (``reference.py``)."""
+"""The two-queue builder, the histogram Kraft check and the capacity
+solver's loop against the heap builders, per-element fold and per-iteration
+validating loop they replaced (``reference.py``)."""
 
 import math
 
@@ -9,8 +10,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from geomhuffman import INF, CodeLengths, Pmf, ghc, huffman, kraft_sum, product_pmf
-from geomhuffman.errors import GuardExceededError
+from geomhuffman import (
+    INF,
+    CodeLengths,
+    DmcSpec,
+    Pmf,
+    blahut_arimoto,
+    ghc,
+    huffman,
+    kraft_sum,
+    product_pmf,
+)
+from geomhuffman.errors import ConvergenceError, GuardExceededError
 
 # exact ties, zeros, powers of two and pairs exactly 4x apart (the GHC drop
 # boundary u_b == u_a - 2), mixed with arbitrary positive weights and with
@@ -160,3 +171,65 @@ class TestHistogramKraft:
         lengths = (1025, 1) + (2,) * 2
         with pytest.raises(GuardExceededError, match="length 1025 exceeds cap 1024"):
             CodeLengths(lengths)
+
+
+# transition entries: exact zeros, small integers (equal columns after
+# normalizing) and arbitrary positive floats; a column may repeat an
+# earlier one, and n = 1 gives the single-output channel
+_entry = st.one_of(
+    st.just(0.0), st.integers(1, 4).map(float), st.floats(min_value=1e-3, max_value=1.0)
+)
+
+
+@st.composite
+def _channels(draw):
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(2, 5))
+    cols = []
+    for _ in range(m):
+        if cols and draw(st.integers(0, 3)) == 0:
+            cols.append(cols[draw(st.integers(0, len(cols) - 1))])
+            continue
+        col = np.array(draw(st.lists(_entry, min_size=n, max_size=n)))
+        if not np.any(col > 0.0):
+            col[draw(st.integers(0, n - 1))] = 1.0
+        cols.append(col / col.sum())
+    return DmcSpec(np.array(cols).T)
+
+
+def _capacity_outcome(solve, dmc, tol, max_iter):
+    try:
+        res = solve(dmc, tol=tol, max_iter=max_iter)
+        tag, msg = "ok", None
+    except ConvergenceError as exc:
+        res = exc.best
+        tag, msg = "ConvergenceError", str(exc)
+    return tag, msg, res.C, res.p_star.probs.tobytes(), res.achieved_tol
+
+
+class TestCapacityMatchesReference:
+    _NAMED = [
+        np.array([[1.0, 0.5], [0.0, 0.5]]),
+        np.array([[1.0, 1.0, 1.0]]),
+        np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+        np.array([[0.9, 0.9, 0.0, 0.2], [0.1, 0.1, 0.5, 0.0], [0.0, 0.0, 0.5, 0.8]]),
+    ]
+
+    @settings(max_examples=100, deadline=None)
+    @given(_channels(), st.sampled_from([1e-4, 1e-9]))
+    def test_same_capacity_pmf_and_gap(self, dmc, tol):
+        got = _capacity_outcome(blahut_arimoto, dmc, tol, 5000)
+        assert got == _capacity_outcome(reference.blahut_arimoto, dmc, tol, 5000)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_channels(), st.integers(1, 6))
+    def test_same_error_and_best_at_iteration_cap(self, dmc, max_iter):
+        got = _capacity_outcome(blahut_arimoto, dmc, 1e-15, max_iter)
+        assert got == _capacity_outcome(reference.blahut_arimoto, dmc, 1e-15, max_iter)
+
+    @pytest.mark.parametrize("index", range(len(_NAMED)))
+    @pytest.mark.parametrize("tol, max_iter", [(1e-4, 100_000), (1e-9, 100_000), (1e-12, 3)])
+    def test_named_channels(self, index, tol, max_iter):
+        dmc = DmcSpec(self._NAMED[index])
+        got = _capacity_outcome(blahut_arimoto, dmc, tol, max_iter)
+        assert got == _capacity_outcome(reference.blahut_arimoto, dmc, tol, max_iter)
