@@ -8,7 +8,7 @@ block-extension experiments showing the per-use penalty vanish, and a
 prefix-code distribution matcher that turns fair bits into channel symbols.
 """
 
-from .approximators import LogWeights, gcc, ghc, huffman
+from .approximators import gcc, ghc, huffman
 from .dmc import (
     BlockDmcReport,
     CapacityResult,
@@ -19,7 +19,6 @@ from .dmc import (
     mi_lower_bound,
     mutual_information,
     optimize_block_dmc,
-    output_pmf,
 )
 from .dnc import (
     BlockDncReport,
@@ -37,14 +36,12 @@ from .dyadic import (
     CodeLengths,
     CodeTree,
     DyadicPmf,
-    KraftSum,
     brute_force_min_kl,
     brute_force_optima,
     canonical_codewords,
     canonical_tree,
     codebook_text,
     enumerate_full_codes,
-    kraft_sum,
     parse_codebook,
 )
 from .errors import (
@@ -56,7 +53,7 @@ from .errors import (
     SupportConditionError,
 )
 from .matcher import BitSource, MatchReport, demodulate, modulate, simulate
-from .pmf import NonNegVector, Pmf, entropy, kl_divergence, product_pmf
+from .pmf import Pmf, entropy, kl_divergence, product_pmf
 
 __version__ = "0.1.0"
 
@@ -76,11 +73,8 @@ __all__ = [
     "DyadicPmf",
     "GuardExceededError",
     "INF",
-    "KraftSum",
     "LecResult",
-    "LogWeights",
     "MatchReport",
-    "NonNegVector",
     "Pmf",
     "SpecFileError",
     "SupportConditionError",
@@ -101,14 +95,12 @@ __all__ = [
     "huffman",
     "kkt_check",
     "kl_divergence",
-    "kraft_sum",
     "lec",
     "mi_lower_bound",
     "modulate",
     "mutual_information",
     "optimize_block_dmc",
     "optimize_block_dnc",
-    "output_pmf",
     "parse_codebook",
     "product_pmf",
     "simulate",

@@ -13,46 +13,10 @@ dyadic PMF given by codeword lengths:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .dyadic import INF, CodeLengths, DyadicPmf
-from .pmf import Pmf, as_weights, kl_divergence
-
-
-def _checked_weights(x) -> np.ndarray:
-    """The float vector behind x; every entry must be finite and >= 0."""
-    arr = as_weights(x)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("weights must be finite")
-    if np.any(arr < 0.0):
-        raise ValueError("weights must be nonnegative")
-    return arr
-
-
-@dataclass(frozen=True, eq=False)
-class LogWeights:
-    """Weights in the log domain: u_i = -log2(x_i), sorted ascending.
-
-    ``perm[rank]`` maps sorted positions back to original symbol indices;
-    zero weights become +inf and sort last.  The merge decisions below
-    depend only on differences of u, which keeps very small weights (for
-    instance entries of long product PMFs) numerically workable.
-    """
-
-    u: np.ndarray
-    perm: np.ndarray
-
-    @classmethod
-    def from_vector(cls, x) -> "LogWeights":
-        arr = _checked_weights(x)
-        u = np.where(arr > 0.0, -np.log2(np.where(arr > 0.0, arr, 1.0)), np.inf)
-        perm = np.argsort(u, kind="stable")
-        out_u = u[perm]
-        out_u.setflags(write=False)
-        perm.setflags(write=False)
-        return cls(out_u, perm)
+from .pmf import Pmf, _checked_weights, kl_divergence
 
 
 def _two_queue_depths(keys: list, ties: list, merge, drop=None) -> list:
@@ -174,17 +138,18 @@ def ghc(x) -> tuple:
     Returns (CodeLengths in original symbol order, divergence in bits).
     Zero-weight symbols always get length inf.
     """
-    arr = as_weights(x)
-    lw = LogWeights.from_vector(arr)
-    finite = np.count_nonzero(np.isfinite(lw.u))
+    arr = _checked_weights(x)
+    # u_i = -log2(x_i), +inf for zero weights, which sort last; the merge
+    # rules use only differences of u, so tiny weights stay workable
+    u = np.where(arr > 0.0, -np.log2(np.where(arr > 0.0, arr, 1.0)), np.inf)
+    perm = np.argsort(u, kind="stable")
+    finite = np.count_nonzero(np.isfinite(u))
     if finite == 0:
         raise ValueError("need at least one positive weight")
     # pop order: largest u first; among equal u the higher index pops
     # first (gets merged deeper), so the lower index wins
-    order = lw.perm[finite - 1::-1]
-    depths = _two_queue_depths(
-        lw.u[finite - 1::-1].tolist(), order.tolist(), _ghc_merge, _ghc_drop
-    )
+    order = perm[finite - 1::-1]
+    depths = _two_queue_depths(u[order].tolist(), order.tolist(), _ghc_merge, _ghc_drop)
     return _code_and_divergence(order, depths, arr)
 
 

@@ -233,6 +233,10 @@ def _cmd_dmc(args):
 def _cmd_dnc(args):
     digest, kind, payload = load_spec(args.spec)
     spec = _require_kind(kind, payload, "dnc", "dnc")
+    if args.block < 1:
+        raise _UsageError("block length k must be >= 1")
+    if args.lec and args.block > 1:
+        raise _UsageError("--lec and --block are mutually exclusive")
     cap = dnc_mod.dnc_capacity(spec)
     report = {
         "command": "dnc",
@@ -241,8 +245,6 @@ def _cmd_dnc(args):
         "root_residual": cap.root_residual,
         "p_star": _pmf_json(cap.p_star),
     }
-    if args.lec and args.block > 1:
-        raise _UsageError("--lec and --block are mutually exclusive")
     if args.lec:
         res = dnc_mod.lec(spec, tol=args.tol)
         dp = dyadic.DyadicPmf.from_code(res.lengths)

@@ -12,8 +12,8 @@ import numpy as np
 
 from .approximators import ghc
 from .dyadic import CodeLengths, DyadicPmf
-from .errors import ConvergenceError, DimensionMismatchError, GuardExceededError, SupportConditionError
-from .pmf import PRODUCT_CAP, Pmf, _coordinate_sum, kl_divergence, product_pmf
+from .errors import ConvergenceError, DimensionMismatchError, SupportConditionError
+from .pmf import PRODUCT_CAP, Pmf, _check_block, _coordinate_sum, kl_divergence, product_pmf
 
 COLUMN_TOL = 1e-9
 
@@ -84,12 +84,6 @@ def _check_dims(dmc: DmcSpec, p: Pmf):
         raise DimensionMismatchError(
             f"PMF has {p.m} entries but channel has {dmc.m} inputs"
         )
-
-
-def output_pmf(dmc: DmcSpec, p: Pmf) -> Pmf:
-    """Output PMF r = h p."""
-    _check_dims(dmc, p)
-    return Pmf.normalized(dmc.h @ p.probs)
 
 
 def _per_input_divergence(
@@ -249,12 +243,7 @@ def optimize_block_dmc(
     information of the resulting (generally non-product) dyadic PMF along
     with the per-use penalty bound C - D/k.
     """
-    if k < 1:
-        raise ValueError("block length k must be >= 1")
-    if max(dmc.m, dmc.n) ** k > cap:
-        raise GuardExceededError(
-            f"block channel would need {max(dmc.m, dmc.n) ** k} entries, cap is {cap}"
-        )
+    _check_block(max(dmc.m, dmc.n), k, cap, "block channel would need")
     res = blahut_arimoto(dmc, tol=tol, max_iter=max_iter)
     p_star = clamp_support(res.p_star)
     target = product_pmf(p_star, k, cap=cap)

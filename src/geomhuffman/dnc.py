@@ -17,7 +17,7 @@ import numpy as np
 from .approximators import ghc
 from .dyadic import CodeLengths, DyadicPmf
 from .errors import ConvergenceError, DimensionMismatchError
-from .pmf import PRODUCT_CAP, NonNegVector, Pmf, _coordinate_sum, entropy, product_pmf
+from .pmf import PRODUCT_CAP, Pmf, _coordinate_sum, entropy, product_pmf
 
 ROOT_RESIDUAL_TOL = 1e-12
 
@@ -147,12 +147,12 @@ def entropy_per_weight(p: Pmf, spec: DncSpec) -> float:
     return h / float(p.probs @ spec.w)
 
 
-def weighted_target(p_star: Pmf, R: float) -> NonNegVector:
+def weighted_target(p_star: Pmf, R: float) -> np.ndarray:
     """Elementwise p*_i ** R, the (unnormalized) target tilted by the
     achievable capacity fraction R."""
     if not 0.0 <= R <= 1.0:
         raise ValueError("R must lie in [0, 1]")
-    return NonNegVector(np.power(p_star.probs, R))
+    return np.power(p_star.probs, R)
 
 
 def lec(spec: DncSpec, tol: float = 1e-12, max_iter: int = 1000) -> LecResult:
@@ -198,8 +198,6 @@ def optimize_block_dnc(spec: DncSpec, k: int, cap: int = PRODUCT_CAP) -> BlockDn
     per-coordinate marginals of the block PMF.  The reported lower bound is
     C - D / (k * w_min).
     """
-    if k < 1:
-        raise ValueError("block length k must be >= 1")
     capacity = dnc_capacity(spec)
     target = product_pmf(capacity.p_star, k, cap=cap)
     code, d_total = ghc(target.probs)

@@ -1,4 +1,4 @@
-"""Dyadic PMFs as codeword-length vectors, exact Kraft arithmetic, canonical
+"""Dyadic PMFs as codeword-length vectors with an exact Kraft check, canonical
 code trees, and the exhaustive minimum-divergence search used as a test
 oracle.
 
@@ -15,42 +15,18 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import GuardExceededError
-from .pmf import Pmf, as_weights
+from .pmf import Pmf, _checked_weights
 
 INF = math.inf
 
-MAX_CODEWORD_LEN = 64  # default cap for standalone kraft_sum calls
-MAX_TREE_LEN = 1024    # hard cap on finite lengths (2.0**-l stays exact well below this)
+MAX_TREE_LEN = 1024  # hard cap on finite lengths (2.0**-l stays exact well below this)
 ENUM_MAX_SYMBOLS = 12
 ENUM_MAX_DEPTH = 12
-
-
-@dataclass(frozen=True)
-class KraftSum:
-    """Exact dyadic rational numerator / 2**exponent, kept reduced."""
-
-    numerator: int
-    exponent: int
-
-    @property
-    def is_one(self) -> bool:
-        return self.numerator == 1 and self.exponent == 0
-
-    @property
-    def exceeds_one(self) -> bool:
-        return self.numerator > (1 << self.exponent)
-
-    @property
-    def value(self) -> float:
-        return self.numerator / (1 << self.exponent)
-
-    def __str__(self) -> str:
-        return f"{self.numerator}/2^{self.exponent}"
 
 
 def _check_length(entry) -> "int | float":
@@ -108,20 +84,10 @@ def _kraft_units(hist: Counter) -> tuple:
     return sum(n << (deepest - length) for length, n in hist.items()), deepest
 
 
-def _reduced(units: int, exponent: int) -> KraftSum:
-    """units / 2**exponent in lowest terms."""
-    if units == 0:
-        return KraftSum(0, 0)
+def _reduced(units: int, exponent: int) -> str:
+    """units / 2**exponent (units > 0) in lowest terms, written ``n/2^e``."""
     shift = min((units & -units).bit_length() - 1, exponent)
-    return KraftSum(units >> shift, exponent - shift)
-
-
-def kraft_sum(lengths: Iterable, max_len: int = MAX_CODEWORD_LEN) -> KraftSum:
-    """Exact sum of 2**(-l) over the finite entries of a length vector."""
-    entries = tuple(lengths)
-    _raise_first_error(entries, max_len)
-    hist = _finite_histogram(_checked_entries(entries))
-    return _reduced(*_kraft_units(hist)) if hist else KraftSum(0, 0)
+    return f"{units >> shift}/2^{exponent - shift}"
 
 
 @dataclass(frozen=True)
@@ -173,8 +139,9 @@ class CodeLengths:
 class DyadicPmf:
     """A CodeLengths together with the PMF it induces, p_i = 2**(-l_i).
 
-    Every finite 2**(-l) is exact in binary floating point and the total is
-    verified to equal 1.0 exactly (fsum of exact dyadics rounds exactly).
+    CodeLengths has already proved the Kraft sum exactly 1 with every
+    l <= MAX_TREE_LEN, so every 2**(-l) is an exact float and the
+    probabilities sum to exactly 1.
     """
 
     code: CodeLengths
@@ -182,10 +149,7 @@ class DyadicPmf:
 
     @classmethod
     def from_code(cls, code: CodeLengths) -> "DyadicPmf":
-        arr = np.exp2(-np.array(code.lengths, dtype=np.float64))
-        if math.fsum(arr.tolist()) != 1.0:
-            raise ValueError("induced dyadic probabilities do not sum to exactly 1")
-        return cls(code, Pmf(arr))
+        return cls(code, Pmf(np.exp2(-np.array(code.lengths, dtype=np.float64))))
 
 
 def canonical_codewords(code: CodeLengths) -> tuple:
@@ -354,11 +318,6 @@ def _codes_table(m: int, l_max: int) -> tuple:
     return tuple(enumerate_full_codes(m, l_max))
 
 
-def _descending_order(arr: np.ndarray) -> np.ndarray:
-    # stable sort, descending by value, ties by original index
-    return np.argsort(-arr, kind="stable")
-
-
 def _multiset_divergence(multiset: tuple, xs_sorted: np.ndarray, log2_xs: np.ndarray) -> float:
     terms = []
     for j, length in enumerate(multiset):
@@ -368,21 +327,19 @@ def _multiset_divergence(multiset: tuple, xs_sorted: np.ndarray, log2_xs: np.nda
     return math.fsum(terms)
 
 
-def brute_force_min_kl(x, l_max: "int | None" = None, tie_tol: float = 1e-12):
-    """Exact minimizer of D(p || x) over all dyadic PMFs of depth <= l_max.
+def _oracle_scan(x, l_max: "int | None") -> tuple:
+    """The exhaustive search behind both oracles.
 
-    Enumerates every full-code length multiset and assigns sorted lengths to
-    the sorted weights (an optimal code never gives a larger weight a longer
-    codeword).  Ties are broken by the lexicographically smallest
-    non-decreasing length vector.  Returns (CodeLengths, divergence_bits).
-
+    Checks the weights (finite, nonnegative, one positive) and the size
+    guard, sorts the weights descending (ties by original index) and
+    returns (order, table, divergences): the sort permutation, every full
+    code's sorted length multiset in strictly increasing lexicographic
+    order, and D(p || x) for each multiset assigned to the sorted weights.
     The default depth cap l_max = m - 1 is exhaustive: a full binary tree
     with at most m leaves has depth at most m - 1.
     """
-    arr = as_weights(x)
+    arr = _checked_weights(x)
     m = arr.size
-    if np.any(arr < 0.0):
-        raise ValueError("weights must be nonnegative")
     if not np.any(arr > 0.0):
         raise ValueError("need at least one positive weight")
     if l_max is None:
@@ -391,44 +348,38 @@ def brute_force_min_kl(x, l_max: "int | None" = None, tie_tol: float = 1e-12):
         raise GuardExceededError(
             f"oracle guard: m <= {ENUM_MAX_SYMBOLS} and l_max <= {ENUM_MAX_DEPTH}"
         )
-
-    order = _descending_order(arr)
-    xs = arr[order]
-    with np.errstate(divide="ignore"):
-        log2_xs = np.log2(xs)
-
-    best_d = INF
-    best_ms = None
-    for ms in _codes_table(m, l_max):
-        d = _multiset_divergence(ms, xs, log2_xs)
-        if best_ms is None or d < best_d - tie_tol:
-            best_d, best_ms = d, ms
-        elif d <= best_d + tie_tol and ms < best_ms:
-            best_ms = ms
-            best_d = min(best_d, d)
-
-    lengths = [INF] * m
-    for j, length in enumerate(best_ms):
-        lengths[int(order[j])] = length
-    code = CodeLengths(tuple(lengths))
-    return code, best_d
-
-
-def brute_force_optima(x, l_max: "int | None" = None, tie_tol: float = 1e-12) -> list:
-    """All optimal length multisets within tie_tol of the minimum divergence."""
-    arr = as_weights(x)
-    m = arr.size
-    if l_max is None:
-        l_max = max(m - 1, 0)
-    if m > ENUM_MAX_SYMBOLS or l_max > ENUM_MAX_DEPTH:
-        raise GuardExceededError(
-            f"oracle guard: m <= {ENUM_MAX_SYMBOLS} and l_max <= {ENUM_MAX_DEPTH}"
-        )
-    order = _descending_order(arr)
+    order = np.argsort(-arr, kind="stable")
     xs = arr[order]
     with np.errstate(divide="ignore"):
         log2_xs = np.log2(xs)
     table = _codes_table(m, l_max)
-    divs = [_multiset_divergence(ms, xs, log2_xs) for ms in table]
+    return order, table, [_multiset_divergence(ms, xs, log2_xs) for ms in table]
+
+
+def brute_force_min_kl(x, l_max: "int | None" = None, tie_tol: float = 1e-12):
+    """Exact minimizer of D(p || x) over all dyadic PMFs of depth <= l_max.
+
+    Enumerates every full-code length multiset and assigns sorted lengths to
+    the sorted weights (an optimal code never gives a larger weight a longer
+    codeword).  Ties are broken by the lexicographically smallest
+    non-decreasing length vector: the table is in increasing order, so a
+    later multiset replaces the best only when it is better by more than
+    tie_tol.  Returns (CodeLengths, divergence_bits).
+    """
+    order, table, divs = _oracle_scan(x, l_max)
+    best_ms, best_d = table[0], divs[0]
+    for ms, d in zip(table, divs):
+        if d < best_d - tie_tol:
+            best_d, best_ms = d, ms
+
+    lengths = [INF] * order.size
+    for j, length in enumerate(best_ms):
+        lengths[int(order[j])] = length
+    return CodeLengths(tuple(lengths)), best_d
+
+
+def brute_force_optima(x, l_max: "int | None" = None, tie_tol: float = 1e-12) -> list:
+    """All optimal length multisets within tie_tol of the minimum divergence."""
+    _, table, divs = _oracle_scan(x, l_max)
     best = min(divs)
     return [ms for ms, d in zip(table, divs) if d <= best + tie_tol]

@@ -67,9 +67,6 @@ class BitSource:
             return np.zeros(0, dtype=np.uint8)
         return np.concatenate(chunks)
 
-    def next_bit(self) -> int:
-        return int(self.take(1)[0])
-
 
 @dataclass(frozen=True, eq=False)
 class MatchReport:

@@ -69,39 +69,21 @@ class Pmf:
         return cls(np.full(m, 1.0 / m))
 
 
-@dataclass(frozen=True, eq=False)
-class NonNegVector:
-    """Nonnegative weight vector with at least one positive entry.
-
-    No normalization is required; these serve as divergence targets.
-    """
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        arr = _freeze(self.values)
-        if arr.size < 1:
-            raise ValueError("need at least one entry")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("entries must be finite")
-        if np.any(arr < 0.0):
-            raise ValueError("entries must be nonnegative")
-        if not np.any(arr > 0.0):
-            raise ValueError("need at least one positive entry")
-        object.__setattr__(self, "values", arr)
-
-    @property
-    def m(self) -> int:
-        return int(self.values.size)
-
-
 def as_weights(x) -> np.ndarray:
-    """Return the raw float vector behind a Pmf, NonNegVector, or array-like."""
+    """Return the raw float vector behind a Pmf or an array-like."""
     if isinstance(x, Pmf):
         return x.probs
-    if isinstance(x, NonNegVector):
-        return x.values
     return np.asarray(x, dtype=np.float64).reshape(-1)
+
+
+def _checked_weights(x) -> np.ndarray:
+    """The float vector behind x; every entry must be finite and >= 0."""
+    arr = as_weights(x)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("weights must be finite")
+    if np.any(arr < 0.0):
+        raise ValueError("weights must be nonnegative")
+    return arr
 
 
 def entropy(p: Pmf) -> float:
@@ -147,6 +129,26 @@ def _coordinate_sum(p_block: np.ndarray, m: int, k: int, values: np.ndarray) -> 
     return total
 
 
+def _check_block(base: int, k: int, cap: int, what: str):
+    """Reject a block length k < 1, or one whose base**k entries exceed cap.
+
+    For base >= 2, base**k > cap as soon as k > cap.bit_length(), so a huge
+    k fails without the power being formed for the comparison; the message
+    gives the count in full below 4000 digits and as ``base**k`` above.
+    """
+    if k < 1:
+        raise ValueError("block length k must be >= 1")
+    if base < 2 or k <= cap.bit_length():
+        size = base ** k
+        if size <= cap:
+            return
+    elif k * math.log10(base) < 4000:
+        size = base ** k
+    else:
+        size = f"{base}**{k}"
+    raise GuardExceededError(f"{what} {size} entries, cap is {cap}")
+
+
 def product_pmf(p: Pmf, k: int, cap: int = PRODUCT_CAP) -> Pmf:
     """k-fold product PMF over m**k tuples in lexicographic order.
 
@@ -154,13 +156,7 @@ def product_pmf(p: Pmf, k: int, cap: int = PRODUCT_CAP) -> Pmf:
     is renormalized by its own sum (a factor within k*SUM_TOL of 1) so that
     accumulated rounding never trips the PMF sum check.
     """
-    if k < 1:
-        raise ValueError("block length k must be >= 1")
-    size = p.m ** k
-    if size > cap:
-        raise GuardExceededError(
-            f"product PMF would hold {size} entries, cap is {cap}"
-        )
+    _check_block(p.m, k, cap, "product PMF would hold")
     out = p.probs
     for _ in range(k - 1):
         out = np.kron(out, p.probs)

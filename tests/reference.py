@@ -1,27 +1,32 @@
 """Reference implementations kept only for the tests.
 
 These are the heap-based ``ghc`` and ``huffman`` tree builders, the
-per-element ``KraftSum.plus_pow2`` fold and the entry-by-entry
-``CodeLengths`` check that the package used before its two-queue builder
-and histogram Kraft check, the capacity bisection bracketed from 1, and
-the Blahut-Arimoto loop that built and validated its result on every
-iteration.  The property tests compare the package against them: same
-lengths (tie-breaks included), same divergences, same reduced Kraft sums
-or errors, bit-identical capacities and capacity-achieving PMFs.
+per-element Kraft-sum fold and the entry-by-entry ``CodeLengths`` check
+that the package used before its two-queue builder and histogram Kraft
+check, the capacity bisection bracketed from 1, the Blahut-Arimoto loop
+that built and validated its result on every iteration, and the
+brute-force oracle as it was before its scan was shared with
+``brute_force_optima``.  The property tests compare the package against
+them: same lengths (tie-breaks included), same divergences, same reduced
+Kraft sums or errors, bit-identical capacities and capacity-achieving PMFs.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from geomhuffman import INF, CapacityResult, CodeLengths, KraftSum, LogWeights, Pmf, kl_divergence
+from geomhuffman import INF, CapacityResult, CodeLengths, Pmf, enumerate_full_codes, kl_divergence
 from geomhuffman.errors import ConvergenceError, GuardExceededError
 from geomhuffman.pmf import as_weights
 
 MAX_CODEWORD_LEN = 64
+ENUM_MAX_SYMBOLS = 12
+ENUM_MAX_DEPTH = 12
 
 
 def _assign_depths(kids, syms, root: int, m: int) -> list:
@@ -41,8 +46,14 @@ def _assign_depths(kids, syms, root: int, m: int) -> list:
 def ghc_lengths(x) -> tuple:
     """Length tuple of the heap GHC build (no CodeLengths validation)."""
     arr = as_weights(x)
-    lw = LogWeights.from_vector(arr)
-    finite = int(np.isfinite(lw.u).sum())
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("weights must be finite")
+    if np.any(arr < 0.0):
+        raise ValueError("weights must be nonnegative")
+    u = np.where(arr > 0.0, -np.log2(np.where(arr > 0.0, arr, 1.0)), np.inf)
+    perm = np.argsort(u, kind="stable")
+    sorted_u = u[perm]
+    finite = int(np.isfinite(sorted_u).sum())
     if finite == 0:
         raise ValueError("need at least one positive weight")
     m = int(arr.size)
@@ -53,8 +64,8 @@ def ghc_lengths(x) -> tuple:
     syms: list = []
     heap = []
     for rank in range(finite):
-        sym = int(lw.perm[rank])
-        us.append(float(lw.u[rank]))
+        sym = int(perm[rank])
+        us.append(float(sorted_u[rank]))
         ties.append(sym)
         kids.append(None)
         syms.append(sym)
@@ -143,6 +154,21 @@ def _check_length(entry):
     if entry < 0:
         raise ValueError("lengths must be nonnegative")
     return int(entry)
+
+
+@dataclass(frozen=True)
+class KraftSum:
+    """Exact dyadic rational numerator / 2**exponent, kept reduced."""
+
+    numerator: int
+    exponent: int
+
+    @property
+    def is_one(self) -> bool:
+        return self.numerator == 1 and self.exponent == 0
+
+    def __str__(self) -> str:
+        return f"{self.numerator}/2^{self.exponent}"
 
 
 def plus_pow2(total: KraftSum, length: int) -> KraftSum:
@@ -257,3 +283,55 @@ def blahut_arimoto(dmc, tol: float = 1e-9, max_iter: int = 100_000) -> CapacityR
         f"(gap {result.achieved_tol:.3e})",
         best=result,
     )
+
+
+@lru_cache(maxsize=None)
+def _codes_table(m: int, l_max: int) -> tuple:
+    return tuple(enumerate_full_codes(m, l_max))
+
+
+def _multiset_divergence(multiset: tuple, xs_sorted: np.ndarray, log2_xs: np.ndarray) -> float:
+    terms = []
+    for j, length in enumerate(multiset):
+        if xs_sorted[j] == 0.0:
+            return INF
+        terms.append(2.0 ** -length * (-length - log2_xs[j]))
+    return math.fsum(terms)
+
+
+def brute_force_min_kl(x, l_max=None, tie_tol: float = 1e-12):
+    """The oracle with its own guards, sort and scan, and the tie branch
+    that kept the lexicographically smaller of two near-equal multisets."""
+    arr = as_weights(x)
+    m = arr.size
+    if np.any(arr < 0.0):
+        raise ValueError("weights must be nonnegative")
+    if not np.any(arr > 0.0):
+        raise ValueError("need at least one positive weight")
+    if l_max is None:
+        l_max = max(m - 1, 0)
+    if m > ENUM_MAX_SYMBOLS or l_max > ENUM_MAX_DEPTH:
+        raise GuardExceededError(
+            f"oracle guard: m <= {ENUM_MAX_SYMBOLS} and l_max <= {ENUM_MAX_DEPTH}"
+        )
+
+    order = np.argsort(-arr, kind="stable")
+    xs = arr[order]
+    with np.errstate(divide="ignore"):
+        log2_xs = np.log2(xs)
+
+    best_d = INF
+    best_ms = None
+    for ms in _codes_table(m, l_max):
+        d = _multiset_divergence(ms, xs, log2_xs)
+        if best_ms is None or d < best_d - tie_tol:
+            best_d, best_ms = d, ms
+        elif d <= best_d + tie_tol and ms < best_ms:
+            best_ms = ms
+            best_d = min(best_d, d)
+
+    lengths = [INF] * m
+    for j, length in enumerate(best_ms):
+        lengths[int(order[j])] = length
+    code = CodeLengths(tuple(lengths))
+    return code, best_d

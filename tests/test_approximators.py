@@ -6,35 +6,40 @@ import pytest
 from geomhuffman import (
     INF,
     DyadicPmf,
-    LogWeights,
-    NonNegVector,
     Pmf,
     brute_force_min_kl,
+    brute_force_optima,
     gcc,
     ghc,
     huffman,
     kl_divergence,
 )
+from geomhuffman.pmf import _checked_weights
 
 Q5 = np.array([0.328, 0.32, 0.22, 0.11, 0.022])
 
 
 class TestLogWeights:
+    """The one weight check that every input to ghc's log domain, to
+    huffman and to the oracle passes, and the order ghc sorts them in."""
+
     def test_sorted_with_zeros_last(self):
-        lw = LogWeights.from_vector(np.array([0.25, 0.0, 0.5, 0.25]))
-        assert np.all(np.diff(lw.u) >= 0)
-        assert lw.u[-1] == math.inf
-        assert list(lw.perm) == [2, 0, 3, 1]  # ties by original index
+        # u = (0, inf, 0, 0): the zero weight sorts last and is never coded;
+        # among the tied weights the lower index pops last and stays shallow
+        code, _ = ghc(np.array([1.0, 0.0, 1.0, 1.0]))
+        assert code.lengths == (1, INF, 2, 2)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("build", [LogWeights.from_vector, ghc, huffman])
+    @pytest.mark.parametrize(
+        "build", [_checked_weights, ghc, huffman, brute_force_min_kl, brute_force_optima]
+    )
     def test_non_finite_weight_rejected(self, build, bad):
-        # NaN used to pass as a zero weight (ghc: lengths (inf, 1, 1), D = -1)
+        # NaN would otherwise pass as a zero weight: lengths (inf, 1, 1), D = -1
         with pytest.raises(ValueError, match="weights must be finite"):
             build(np.array([bad, 1.0, 1.0]))
 
     def test_negative_weight_rejected(self):
-        for build in (LogWeights.from_vector, ghc, huffman):
+        for build in (_checked_weights, ghc, huffman, brute_force_min_kl, brute_force_optima):
             with pytest.raises(ValueError, match="weights must be nonnegative"):
                 build(np.array([-0.5, 1.0, 1.0]))
 
@@ -70,7 +75,7 @@ class TestGhc:
         assert d == pytest.approx(-math.log2(3.0))
 
     def test_accepts_unnormalized_vectors(self):
-        code, d = ghc(NonNegVector(np.array([3.0, 1.0])))
+        code, d = ghc(np.array([3.0, 1.0]))
         assert code.lengths == (1, 1)
         # divergence to an unnormalized target can be negative
         assert d < 0.0

@@ -1,7 +1,9 @@
 import json
+import time
 
 import pytest
 
+from geomhuffman import dnc as dnc_mod
 from geomhuffman.cli import emit_report, load_spec, main
 from geomhuffman.errors import SpecFileError
 
@@ -238,6 +240,40 @@ class TestSubcommands:
         code, _, err = run(capsys, "dnc", str(path))
         assert code == 0
         assert err.count("\n") == 1 and err.startswith("dnc: C=")
+
+    @pytest.mark.parametrize(
+        "flags", [("--block", "0"), ("--block", "-3"), ("--lec", "--block", "0")]
+    )
+    def test_dnc_block_below_one_is_input_error(self, capsys, specs, flags):
+        code, out, err = run(capsys, "dnc", specs["dnc"], *flags)
+        assert code == 1 and out == ""
+        assert err == "error: block length k must be >= 1\n"
+
+    def test_dnc_flag_errors_come_before_the_capacity_solve(self, capsys, specs, monkeypatch):
+        def unreachable(spec):
+            raise AssertionError("capacity solved before the flags were checked")
+
+        monkeypatch.setattr(dnc_mod, "dnc_capacity", unreachable)
+        for flags in (("--lec", "--block", "2"), ("--block", "0")):
+            code, out, _ = run(capsys, "dnc", specs["dnc"], *flags)
+            assert code == 1 and out == ""
+
+    @pytest.mark.parametrize(
+        "command, k, count",
+        [
+            ("dmc", "30", "block channel would need 1073741824"),
+            # counts too long to print, or to compute in bounded time
+            ("dmc", "100000000", "block channel would need 2**100000000"),
+            ("dmc", "1000000000000", "block channel would need 2**1000000000000"),
+            ("dnc", "100000000", "product PMF would hold 3**100000000"),
+        ],
+    )
+    def test_huge_block_is_guard_error_at_once(self, capsys, specs, command, k, count):
+        start = time.perf_counter()
+        code, out, err = run(capsys, command, specs[command], "--block", k)
+        assert time.perf_counter() - start < 5.0
+        assert code == 2 and out == ""
+        assert err == f"error: {count} entries, cap is 16777216\n"
 
     def test_bad_subcommand_is_input_error(self, capsys):
         code, _, _ = run(capsys, "frobnicate")

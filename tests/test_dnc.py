@@ -154,15 +154,15 @@ class TestEntropyPerWeight:
 class TestWeightedTarget:
     def test_full_tilt_is_p_star(self):
         cap = dnc_capacity(W12)
-        assert np.array_equal(weighted_target(cap.p_star, 1.0).values, cap.p_star.probs)
+        assert np.array_equal(weighted_target(cap.p_star, 1.0), cap.p_star.probs)
 
     def test_zero_tilt_is_all_ones(self):
         cap = dnc_capacity(W12)
-        assert np.array_equal(weighted_target(cap.p_star, 0.0).values, [1.0, 1.0])
+        assert np.array_equal(weighted_target(cap.p_star, 0.0), [1.0, 1.0])
 
     def test_half_tilt_is_elementwise_sqrt(self):
         cap = dnc_capacity(W12)
-        got = weighted_target(cap.p_star, 0.5).values
+        got = weighted_target(cap.p_star, 0.5)
         assert np.allclose(got, [0.786151377757423, 0.618033988749895], atol=1e-12)
 
     def test_rejects_out_of_range(self):

@@ -9,7 +9,6 @@ from geomhuffman import (
     CodeTree,
     DyadicPmf,
     GuardExceededError,
-    KraftSum,
     brute_force_min_kl,
     brute_force_optima,
     canonical_codewords,
@@ -17,42 +16,49 @@ from geomhuffman import (
     codebook_text,
     enumerate_full_codes,
     kl_divergence,
-    kraft_sum,
     parse_codebook,
 )
+from geomhuffman.dyadic import ENUM_MAX_DEPTH, ENUM_MAX_SYMBOLS, MAX_TREE_LEN, _codes_table
 
 Q5 = np.array([0.328, 0.32, 0.22, 0.11, 0.022])
 
 
 class TestKraftSum:
+    """The one exact Kraft check, in CodeLengths: a full code's sum is 1,
+    and any other sum is reported reduced as ``n/2^e``."""
+
     def test_two_singletons(self):
-        ks = kraft_sum([1, 1])
-        assert ks == KraftSum(1, 0) and ks.is_one
+        assert CodeLengths((1, 1)).lengths == (1, 1)
 
     def test_worked_example_lengths(self):
-        assert kraft_sum([1, 2, 3, 3, INF]).is_one
+        assert CodeLengths((1, 2, 3, 3, INF)).finite_count == 4
 
     def test_hand_sum(self):
         # 1/2 + 1/4 + 1/4 + 1/8 = 9/8
-        ks = kraft_sum([1, 2, 2, 3])
-        assert ks == KraftSum(9, 3)
-        assert ks.exceeds_one and not ks.is_one
-        assert ks.value == 9 / 8
+        with pytest.raises(ValueError, match=r"Kraft sum 9/2\^3, expected exactly 1"):
+            CodeLengths((1, 2, 2, 3))
 
     def test_reduction(self):
         # 1/4 + 1/4 = 1/2 must reduce to numerator 1, exponent 1
-        assert kraft_sum([2, 2]) == KraftSum(1, 1)
+        with pytest.raises(ValueError, match=r"Kraft sum 1/2\^1,"):
+            CodeLengths((2, 2))
+        # 1/2 + 1/2 + 1/2 = 3/2, and 2**0 alone is 1/2^0 reduced
+        with pytest.raises(ValueError, match=r"Kraft sum 3/2\^1,"):
+            CodeLengths((1, 1, 1))
+        with pytest.raises(ValueError, match=r"Kraft sum 2/2\^0,"):
+            CodeLengths((0, 0))
 
     def test_length_cap(self):
-        with pytest.raises(GuardExceededError):
-            kraft_sum([65])
-        kraft_sum([65], max_len=128)
+        deep = tuple(range(1, MAX_TREE_LEN + 1)) + (MAX_TREE_LEN,)
+        assert max(CodeLengths(deep).lengths) == MAX_TREE_LEN
+        with pytest.raises(GuardExceededError, match=f"exceeds cap {MAX_TREE_LEN}"):
+            CodeLengths(deep[:-1] + (MAX_TREE_LEN + 1, MAX_TREE_LEN + 1))
 
     def test_rejects_bad_lengths(self):
-        with pytest.raises(ValueError):
-            kraft_sum([-1])
-        with pytest.raises(ValueError):
-            kraft_sum([1.5])
+        with pytest.raises(ValueError, match="nonnegative"):
+            CodeLengths((-1, 1, 1))
+        with pytest.raises(ValueError, match="not an integer"):
+            CodeLengths((1.5, 1, 1))
 
 
 class TestCodeLengths:
@@ -177,7 +183,7 @@ class TestEnumerateFullCodes:
 
     def test_every_output_has_exact_kraft_sum_one(self):
         for ms in enumerate_full_codes(6, 5):
-            assert kraft_sum(ms).is_one
+            assert CodeLengths(ms).lengths == ms  # raises unless the sum is 1
             assert list(ms) == sorted(ms)
 
     def test_no_duplicates_and_counts_match_profile_oracle(self):
@@ -190,6 +196,14 @@ class TestEnumerateFullCodes:
     def test_lexicographic_order(self):
         got = list(enumerate_full_codes(5, 4))
         assert got == sorted(got)
+
+    def test_table_strictly_increasing_for_every_guarded_size(self):
+        # brute_force_min_kl keeps the first of tied multisets; that is the
+        # lexicographically smallest only because the table increases
+        for m in range(1, ENUM_MAX_SYMBOLS + 1):
+            for l_max in range(0, ENUM_MAX_DEPTH + 1):
+                table = _codes_table(m, l_max)
+                assert all(a < b for a, b in zip(table, table[1:])), (m, l_max)
 
     def test_guards(self):
         with pytest.raises(GuardExceededError):
@@ -245,3 +259,9 @@ class TestBruteForceMinKl:
     def test_guard(self):
         with pytest.raises(GuardExceededError):
             brute_force_min_kl(np.ones(13) / 13)
+
+    @pytest.mark.parametrize("oracle", [brute_force_min_kl, brute_force_optima])
+    def test_all_zero_rejected(self, oracle):
+        # with every divergence inf, every multiset would tie as optimal
+        with pytest.raises(ValueError, match="need at least one positive weight"):
+            oracle(np.array([0.0, 0.0]))

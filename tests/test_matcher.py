@@ -28,7 +28,7 @@ class TestBitSource:
     def test_position_counts_bits(self):
         src = BitSource(9)
         src.take(10)
-        src.next_bit()
+        src.take(1)
         assert src.position == 11
 
     def test_chunking_transparent(self):

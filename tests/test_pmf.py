@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,6 @@ import pytest
 from geomhuffman import (
     DimensionMismatchError,
     GuardExceededError,
-    NonNegVector,
     Pmf,
     entropy,
     kl_divergence,
@@ -50,20 +50,6 @@ class TestPmfConstruction:
             p.probs[0] = 0.9
 
 
-class TestNonNegVector:
-    def test_valid_unnormalized(self):
-        v = NonNegVector(np.array([3.0, 0.0, 1.5]))
-        assert v.m == 3
-
-    def test_rejects_all_zero(self):
-        with pytest.raises(ValueError):
-            NonNegVector(np.array([0.0, 0.0]))
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            NonNegVector(np.array([1.0, -0.5]))
-
-
 class TestEntropy:
     def test_uniform_binary(self):
         assert entropy(Pmf(np.array([0.5, 0.5]))) == 1.0
@@ -99,11 +85,11 @@ class TestKlDivergence:
 
     def test_infinite_when_target_lacks_support(self):
         p = Pmf(np.array([0.5, 0.5]))
-        assert kl_divergence(p, NonNegVector(np.array([1.0, 0.0]))) == math.inf
+        assert kl_divergence(p, np.array([1.0, 0.0])) == math.inf
 
     def test_zero_mass_terms_ignored(self):
         p = Pmf(np.array([1.0, 0.0]))
-        assert kl_divergence(p, NonNegVector(np.array([1.0, 0.0]))) == 0.0
+        assert kl_divergence(p, np.array([1.0, 0.0])) == 0.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
@@ -120,7 +106,7 @@ class TestKlDivergence:
 
     def test_can_be_negative_for_unnormalized_targets(self):
         p = Pmf(np.array([0.5, 0.5]))
-        assert kl_divergence(p, NonNegVector(np.array([1.0, 1.0]))) == -1.0
+        assert kl_divergence(p, np.array([1.0, 1.0])) == -1.0
 
 
 class TestProductPmf:
@@ -142,6 +128,21 @@ class TestProductPmf:
     def test_cap_error_names_sizes(self):
         with pytest.raises(GuardExceededError, match="1024"):
             product_pmf(Pmf(np.array([0.5, 0.5])), 10, cap=1024 - 1)
+
+    def test_block_length_below_one_rejected(self):
+        for k in (0, -3):
+            with pytest.raises(ValueError, match="block length k must be >= 1"):
+                product_pmf(Pmf(np.array([0.5, 0.5])), k)
+
+    def test_huge_block_rejected_without_the_power(self):
+        p = Pmf(np.array([0.2, 0.3, 0.5]))
+        # 3**k has 4772 digits at k = 10**4, past what int() may print
+        for k, count in ((30, str(3**30)), (10**4, "3**10000"), (10**12, "3**1000000000000")):
+            with pytest.raises(GuardExceededError, match=rf"would hold {re.escape(count)} entries"):
+                product_pmf(p, k)
+
+    def test_single_symbol_block_within_cap(self):
+        assert product_pmf(Pmf(np.array([1.0])), 50, cap=1).probs.tolist() == [1.0]
 
     def test_entropy_scales_linearly(self):
         rng = np.random.default_rng(3)

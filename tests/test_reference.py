@@ -1,6 +1,7 @@
-"""The two-queue builder, the histogram Kraft check and the capacity
-solver's loop against the heap builders, per-element fold and per-iteration
-validating loop they replaced (``reference.py``)."""
+"""The two-queue builder, the histogram Kraft check, the capacity solver's
+loop and the shared oracle scan against the heap builders, per-element
+fold, per-iteration validating loop and separate oracle they replaced
+(``reference.py``)."""
 
 import math
 
@@ -16,9 +17,9 @@ from geomhuffman import (
     DmcSpec,
     Pmf,
     blahut_arimoto,
+    brute_force_min_kl,
     ghc,
     huffman,
-    kraft_sum,
     product_pmf,
 )
 from geomhuffman.errors import ConvergenceError, GuardExceededError
@@ -129,19 +130,24 @@ class TestHistogramKraft:
     @settings(max_examples=500, deadline=None)
     @given(st.lists(st.one_of(st.integers(min_value=0, max_value=64), st.just(INF)), max_size=40))
     def test_kraft_sum_equals_fold(self, lengths):
-        got = kraft_sum(lengths)
-        want = reference.kraft_sum(lengths)
-        assert (got.numerator, got.exponent) == (want.numerator, want.exponent)
+        # CodeLengths reports any sum but 1 reduced, as the fold keeps it
+        finite = [e for e in lengths if e != INF]
+        if not finite:
+            return
+        want = reference.kraft_sum(finite)
+        got = _outcome(CodeLengths, tuple(lengths))
+        if want.is_one:
+            assert got[0] == "ok"
+        else:
+            message = f"lengths {tuple(lengths)} have Kraft sum {want}, expected exactly 1"
+            assert got == ("ValueError", message)
 
     @settings(max_examples=500, deadline=None)
-    @given(st.lists(_length_entries, max_size=12), st.sampled_from([64, 70, 1024]))
-    def test_kraft_sum_rejects_as_fold(self, lengths, max_len):
-        got = _outcome(kraft_sum, lengths, max_len)
-        want = _outcome(reference.kraft_sum, lengths, max_len)
-        if got[0] == "ok":
-            got = ("ok", (got[1].numerator, got[1].exponent))
-            want = ("ok", (want[1].numerator, want[1].exponent))
-        assert got == want
+    @given(st.lists(st.one_of(_length_entries, st.integers(min_value=1020, max_value=1030)), max_size=12))
+    def test_kraft_sum_rejects_as_fold(self, lengths):
+        # lengths around the 1024 cap, which the fold checks entry by entry
+        got = _outcome(lambda v: CodeLengths(tuple(v)).lengths, lengths)
+        assert got == _outcome(reference.code_lengths, lengths)
 
     @settings(max_examples=500, deadline=None)
     @given(st.lists(_length_entries, max_size=8))
@@ -233,3 +239,67 @@ class TestCapacityMatchesReference:
         dmc = DmcSpec(self._NAMED[index])
         got = _capacity_outcome(blahut_arimoto, dmc, tol, max_iter)
         assert got == _capacity_outcome(reference.blahut_arimoto, dmc, tol, max_iter)
+
+
+# exact ties, zeros, negative weights, and weights a few ulps or up to
+# 1e-3 (relative) off powers of two, whose codes' divergences then tie or
+# differ by less than tie_tol: at x = (4, 1) keeping one leaf and splitting
+# into two give the same D = -2
+_ORACLE_POOL = [0.0, 0.0, 0.1, 0.25, 0.5, 1.0, 1.0, 2.0, 3.0, 4.0, -1.0]
+_NEAR = [0.25, 0.5, 1.0, 3.0, 4.0]
+_oracle_weights = st.lists(
+    st.one_of(
+        st.sampled_from(_ORACLE_POOL),
+        st.floats(min_value=1e-9, max_value=1e3, allow_nan=False),
+        st.tuples(st.sampled_from(_NEAR), st.integers(-3, 3)).map(
+            lambda vj: vj[0] * (1.0 + vj[1] * 2.0**-52)
+        ),
+        st.tuples(st.sampled_from(_NEAR), st.floats(-1e-3, 1e-3)).map(
+            lambda vd: vd[0] * (1.0 + vd[1])
+        ),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+def _oracle_outcome(oracle, x, l_max, tie_tol):
+    tag, out = _outcome(oracle, x, l_max, tie_tol)
+    if tag != "ok":
+        return tag, out
+    code, d = out
+    return tag, code.lengths, float(d).hex()  # the divergence bit for bit
+
+
+class TestOracleMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        _oracle_weights,
+        st.one_of(st.none(), st.integers(0, 7)),
+        st.sampled_from([1e-12, 0.0, 1e-3]),
+    )
+    def test_same_lengths_and_divergence(self, xs, l_max, tie_tol):
+        x = np.array(xs)
+        got = _oracle_outcome(brute_force_min_kl, x, l_max, tie_tol)
+        want = _oracle_outcome(reference.brute_force_min_kl, x, l_max, tie_tol)
+        assert got == want
+
+    @pytest.mark.parametrize(
+        "xs, tie_tol",
+        [
+            ([0.328, 0.32, 0.22, 0.11, 0.022], 1e-12),
+            ([0.25, 0.25, 0.25, 0.25], 1e-12),
+            ([1.0, 1.0, 1.0], 0.0),
+            ([0.4, 0.2, 0.2, 0.2], 1e-12),
+            ([0.0, 0.6, 0.0, 0.4], 1e-12),
+            ([2.0, 2.0 * (1 + 2.0**-52), 2.0 * (1 - 2.0**-52), 1.0, 1.0], 1e-12),
+            # splitting is better by an ulp or by 7e-5, both within tie_tol
+            ([4.0, 1.0 + 2.0**-52], 1e-12),
+            ([4.0, 1.0001], 1e-3),
+            ([1.0] * 12, 1e-12),
+        ],
+    )
+    def test_named_weights(self, xs, tie_tol):
+        x = np.array(xs)
+        got = _oracle_outcome(brute_force_min_kl, x, None, tie_tol)
+        assert got == _oracle_outcome(reference.brute_force_min_kl, x, None, tie_tol)
