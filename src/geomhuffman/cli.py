@@ -79,12 +79,18 @@ def emit_report(report: dict, fmt: str = "json") -> str:
     raise _UsageError(f"unknown format flag {fmt!r}")
 
 
-def _lengths_json(code: dyadic.CodeLengths) -> list:
-    return [("inf" if e == dyadic.INF else int(e)) for e in code.lengths]
-
-
 def _pmf_json(p: Pmf) -> list:
     return [float(v) for v in p.probs.tolist()]
+
+
+def _code_entries(code: dyadic.CodeLengths, kl_bits: float) -> dict:
+    """The report entries of a code: its lengths, its dyadic PMF and its
+    divergence from the target it was built for."""
+    return {
+        "lengths": [("inf" if e == dyadic.INF else int(e)) for e in code.lengths],
+        "dyadic_pmf": _pmf_json(dyadic.DyadicPmf.from_code(code).probs),
+        "kl_bits": kl_bits,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -189,14 +195,7 @@ def _cmd_approx(args):
             )
         code, d = dyadic.brute_force_min_kl(pmf.probs, l_max=args.l_max)
     _maybe_write_codebook(args, code)
-    dp = dyadic.DyadicPmf.from_code(code)
-    report = {
-        "command": args.command,
-        "input_digest": digest,
-        "lengths": _lengths_json(code),
-        "dyadic_pmf": _pmf_json(dp.probs),
-        "kl_bits": d,
-    }
+    report = {"command": args.command, "input_digest": digest, **_code_entries(code, d)}
     summary = (
         f"{args.command}: m={code.m} kept={code.finite_count} kl={d:.6f} bits"
     )
@@ -209,7 +208,6 @@ def _cmd_dmc(args):
     rep = dmc_mod.optimize_block_dmc(
         channel, args.block, tol=args.tol, max_iter=args.max_iter
     )
-    dp = dyadic.DyadicPmf.from_code(rep.lengths)
     report = {
         "command": "dmc",
         "input_digest": digest,
@@ -217,9 +215,7 @@ def _cmd_dmc(args):
         "achieved_tol": rep.achieved_tol,
         "p_star": _pmf_json(rep.p_star),
         "block": rep.block,
-        "lengths": _lengths_json(rep.lengths),
-        "dyadic_pmf": _pmf_json(dp.probs),
-        "kl_bits": rep.kl_bits,
+        **_code_entries(rep.lengths, rep.kl_bits),
         "per_use_mi": rep.per_use_mi,
         "bound": rep.per_use_bound,
     }
@@ -254,21 +250,16 @@ def _cmd_dnc(args):
                 "R": res.R,
                 "rate": res.rate,
                 "iterations": res.iterations,
-                "lengths": _lengths_json(res.lengths),
-                "dyadic_pmf": _pmf_json(dp.probs),
-                "kl_bits": kl_divergence(dp.probs, tilted),
+                **_code_entries(res.lengths, kl_divergence(dp.probs, tilted)),
             }
         )
         summary = f"dnc: C={cap.C:.6f}, LEC R={res.R:.6f} in {res.iterations} iterations"
     elif args.block > 1:
         rep = dnc_mod.optimize_block_dnc(spec, args.block)
-        dp = dyadic.DyadicPmf.from_code(rep.lengths)
         report.update(
             {
                 "block": rep.block,
-                "lengths": _lengths_json(rep.lengths),
-                "dyadic_pmf": _pmf_json(dp.probs),
-                "kl_bits": rep.kl_bits,
+                **_code_entries(rep.lengths, rep.kl_bits),
                 "rate": rep.rate,
                 "bound": rep.lower_bound,
             }
@@ -276,14 +267,7 @@ def _cmd_dnc(args):
         summary = f"dnc: C={cap.C:.6f}, block={rep.block}, rate={rep.rate:.6f}"
     else:
         code, d = approximators.ghc(cap.p_star.probs)
-        dp = dyadic.DyadicPmf.from_code(code)
-        report.update(
-            {
-                "lengths": _lengths_json(code),
-                "dyadic_pmf": _pmf_json(dp.probs),
-                "kl_bits": d,
-            }
-        )
+        report.update(_code_entries(code, d))
         summary = f"dnc: C={cap.C:.6f}, single-shot kl={d:.6f} bits"
     return report, summary
 
@@ -306,20 +290,13 @@ def _cmd_match(args):
         "seed": args.seed,
         "n_symbols": rep.n_symbols,
         "bits_consumed": rep.bits_consumed,
-        "counts": list(rep.symbol_counts),
-        "symbols": _replay_symbols(tree, rep),
+        "counts": rep.symbol_counts,
+        "symbols": rep.symbols,
     }
     summary = (
         f"match: {rep.n_symbols} symbols from {rep.bits_consumed} bits (seed {args.seed})"
     )
     return report, summary
-
-
-def _replay_symbols(tree, rep: matcher.MatchReport) -> list:
-    bits = matcher.BitSource(rep.seed).take(rep.bits_consumed)
-    symbols, consumed = matcher.modulate(tree, bits)
-    assert consumed == rep.bits_consumed
-    return symbols
 
 
 def _parse_symbol_list(args) -> list:

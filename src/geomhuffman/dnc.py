@@ -37,6 +37,8 @@ class DncSpec:
             raise ValueError("weights must be positive")
         if not (self.b > 1.0):
             raise ValueError("log base must be > 1")
+        if not math.isfinite(self.b):
+            raise ValueError("log base must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "w", arr)
 

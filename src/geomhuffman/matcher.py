@@ -11,14 +11,15 @@ platform, so match reports are comparable across machines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import CodeTree, DyadicPmf
-from .errors import DegenerateTreeError
+from .dyadic import CodeTree
+from .errors import DegenerateTreeError, GuardExceededError
 from .pmf import Pmf
 
+SYMBOL_CAP = 1 << 24  # max number of symbols simulate may emit and hold
 _MASK64 = np.uint64(0xFFFFFFFFFFFFFFFF)
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -36,49 +37,34 @@ def _splitmix64_words(seed: int, start: int, count: int) -> np.ndarray:
 
 @dataclass
 class BitSource:
-    """Deterministic stream of IID fair bits; position counts bits handed out."""
+    """Deterministic stream of IID fair bits; position is the index of the
+    next bit, so it counts the bits handed out."""
 
     seed: int
     position: int = 0
-    _words_used: int = field(default=0, repr=False)
-    _buffer: np.ndarray = field(default=None, repr=False)
-    _offset: int = field(default=0, repr=False)
 
     def take(self, n: int) -> np.ndarray:
         """The next n bits as a uint8 array of 0s and 1s."""
         if n < 0:
             raise ValueError("cannot take a negative number of bits")
-        chunks = []
-        got = 0
-        while got < n:
-            if self._buffer is None or self._offset >= self._buffer.size:
-                count = max(1024, (n - got + 63) // 64)
-                words = _splitmix64_words(self.seed, self._words_used, count)
-                self._words_used += count
-                # big-endian bytes -> unpackbits gives MSB-first per word
-                self._buffer = np.unpackbits(words.astype(">u8").view(np.uint8))
-                self._offset = 0
-            grab = min(n - got, self._buffer.size - self._offset)
-            chunks.append(self._buffer[self._offset : self._offset + grab])
-            self._offset += grab
-            got += grab
+        first, skip = divmod(self.position, 64)
+        words = _splitmix64_words(self.seed, first, (skip + n + 63) // 64)
         self.position += n
-        if not chunks:
-            return np.zeros(0, dtype=np.uint8)
-        return np.concatenate(chunks)
+        # big-endian bytes -> unpackbits gives MSB-first per word
+        return np.unpackbits(words.astype(">u8").view(np.uint8))[skip : skip + n]
 
 
 @dataclass(frozen=True, eq=False)
 class MatchReport:
-    """Outcome of simulating a matcher: per-symbol tallies, bits consumed,
-    and the empirical PMF next to the dyadic target."""
+    """Outcome of simulating a matcher: the emitted symbols, their tallies,
+    bits consumed, and the empirical PMF."""
 
     n_symbols: int
     seed: int
+    symbols: tuple
     symbol_counts: tuple
     bits_consumed: int
     empirical: Pmf
-    target: DyadicPmf
 
 
 def _coerce_bits(bits) -> bytes:
@@ -98,27 +84,49 @@ def _require_matcher(tree: CodeTree):
         )
 
 
-def modulate(tree: CodeTree, bits) -> tuple:
-    """Greedy prefix parse of a bit sequence from the root of the tree.
+def _parse(tree: CodeTree, chunks, limit: int) -> tuple:
+    """Greedy prefix parse of a sequence of bit chunks from the root of the
+    tree, stopping after limit symbols.
 
-    Emits a symbol each time a leaf is reached; a trailing partial codeword
-    is left unconsumed.  Returns (symbol list, bits consumed).  Fullness of
-    the tree guarantees every bit path extends to a leaf.
+    Returns (symbol list, per-symbol counts, bits consumed).  Each emitted
+    symbol consumed exactly its codeword, so the bits consumed are the total
+    codeword length of the symbols; a trailing partial codeword is not
+    counted.
     """
-    _require_matcher(tree)
-    stream = _coerce_bits(bits)
+    symbols = _walk(tree, chunks, limit)
+    counts = np.bincount(np.array(symbols, dtype=np.intp), minlength=tree.lengths.m)
+    depths = np.array([len(w) if w is not None else 0 for w in tree.codewords], dtype=np.int64)
+    return symbols, counts, int(counts @ depths)
+
+
+def _walk(tree: CodeTree, chunks, limit: int) -> list:
+    # the one per-bit loop; fullness of the tree guarantees every bit path
+    # extends to a leaf
     zero = [c[0] for c in tree.children]
     one = [c[1] for c in tree.children]
     root = tree.root
     node = root
     symbols: list = []
-    consumed = 0
-    for i, bit in enumerate(stream):
-        node = one[node] if bit else zero[node]
-        if node < 0:
-            symbols.append(-node - 1)
-            consumed = i + 1
-            node = root
+    for chunk in chunks:
+        for bit in chunk:
+            node = one[node] if bit else zero[node]
+            if node < 0:
+                symbols.append(-node - 1)
+                if len(symbols) == limit:
+                    return symbols
+                node = root
+    return symbols
+
+
+def modulate(tree: CodeTree, bits) -> tuple:
+    """Greedy prefix parse of a bit sequence from the root of the tree.
+
+    Emits a symbol each time a leaf is reached; a trailing partial codeword
+    is left unconsumed.  Returns (symbol list, bits consumed).
+    """
+    _require_matcher(tree)
+    stream = _coerce_bits(bits)
+    symbols, _, consumed = _parse(tree, (stream,), len(stream))
     return symbols, consumed
 
 
@@ -140,39 +148,22 @@ def simulate(tree: CodeTree, n_symbols: int, seed: int) -> MatchReport:
     """Run the matcher on a seeded fair-bit source until n_symbols emerge.
 
     Deterministic per seed; bits_consumed is the total codeword length of
-    the emitted symbols (surplus buffered bits are discarded).
+    the emitted symbols (surplus generated bits are discarded).  At most
+    SYMBOL_CAP symbols, since the report holds every one of them.
     """
     _require_matcher(tree)
     if n_symbols < 1:
         raise ValueError("n_symbols must be >= 1")
+    if n_symbols > SYMBOL_CAP:
+        raise GuardExceededError(f"match guard: {n_symbols} symbols, cap is {SYMBOL_CAP}")
     source = BitSource(seed)
-    zero = [c[0] for c in tree.children]
-    one = [c[1] for c in tree.children]
-    root = tree.root
-    m = tree.lengths.m
-    counts = [0] * m
-    node = root
-    emitted = 0
-    consumed = 0
-    walked = 0
-    chunk_bits = 1 << 16
-    while emitted < n_symbols:
-        for bit in source.take(chunk_bits).tobytes():
-            node = one[node] if bit else zero[node]
-            walked += 1
-            if node < 0:
-                counts[-node - 1] += 1
-                emitted += 1
-                consumed = walked
-                node = root
-                if emitted == n_symbols:
-                    break
-    empirical = Pmf.normalized(np.array(counts, dtype=np.float64))
+    chunks = iter(lambda: source.take(1 << 16).tobytes(), None)
+    symbols, counts, consumed = _parse(tree, chunks, n_symbols)
     return MatchReport(
         n_symbols=n_symbols,
         seed=seed,
-        symbol_counts=tuple(counts),
+        symbols=tuple(symbols),
+        symbol_counts=tuple(counts.tolist()),
         bits_consumed=consumed,
-        empirical=empirical,
-        target=DyadicPmf.from_code(tree.lengths),
+        empirical=Pmf.normalized(counts.astype(np.float64)),
     )

@@ -4,18 +4,22 @@ These are the heap-based ``ghc`` and ``huffman`` tree builders, the
 per-element Kraft-sum fold and the entry-by-entry ``CodeLengths`` check
 that the package used before its two-queue builder and histogram Kraft
 check, the capacity bisection bracketed from 1, the Blahut-Arimoto loop
-that built and validated its result on every iteration, and the
+that built and validated its result on every iteration, the
 brute-force oracle as it was before its scan was shared with
-``brute_force_optima``.  The property tests compare the package against
-them: same lengths (tie-breaks included), same divergences, same reduced
-Kraft sums or errors, bit-identical capacities and capacity-achieving PMFs.
+``brute_force_optima``, and the matcher as it was before its two per-bit
+walks became one: a buffered bit source, a ``simulate`` that only counted
+symbols, and the symbol list the CLI recovered by regenerating the bits and
+parsing them again with ``modulate``.  The property tests compare the
+package against them: same lengths (tie-breaks included), same divergences,
+same reduced Kraft sums or errors, bit-identical capacities and
+capacity-achieving PMFs, the same bits, symbols and counts.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -335,3 +339,98 @@ def brute_force_min_kl(x, l_max=None, tie_tol: float = 1e-12):
         lengths[int(order[j])] = length
     code = CodeLengths(tuple(lengths))
     return code, best_d
+
+
+_MASK64 = np.uint64(0xFFFFFFFFFFFFFFFF)
+
+
+def _splitmix64_words(seed: int, start: int, count: int) -> np.ndarray:
+    idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    z = (np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + idx * np.uint64(0x9E3779B97F4A7C15)) & _MASK64
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9) & _MASK64
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> np.uint64(31))
+
+
+@dataclass
+class BitSource:
+    """The bit source that refilled a buffer of at least 1024 words."""
+
+    seed: int
+    position: int = 0
+    _words_used: int = field(default=0, repr=False)
+    _buffer: np.ndarray = field(default=None, repr=False)
+    _offset: int = field(default=0, repr=False)
+
+    def take(self, n: int) -> np.ndarray:
+        if n < 0:
+            raise ValueError("cannot take a negative number of bits")
+        chunks = []
+        got = 0
+        while got < n:
+            if self._buffer is None or self._offset >= self._buffer.size:
+                count = max(1024, (n - got + 63) // 64)
+                words = _splitmix64_words(self.seed, self._words_used, count)
+                self._words_used += count
+                self._buffer = np.unpackbits(words.astype(">u8").view(np.uint8))
+                self._offset = 0
+            grab = min(n - got, self._buffer.size - self._offset)
+            chunks.append(self._buffer[self._offset : self._offset + grab])
+            self._offset += grab
+            got += grab
+        self.position += n
+        if not chunks:
+            return np.zeros(0, dtype=np.uint8)
+        return np.concatenate(chunks)
+
+
+def modulate(tree, bits) -> tuple:
+    """The per-bit parse that tracked the index of the last emitted bit;
+    bits is an array of 0s and 1s."""
+    zero = [c[0] for c in tree.children]
+    one = [c[1] for c in tree.children]
+    root = tree.root
+    node = root
+    symbols: list = []
+    consumed = 0
+    for i, bit in enumerate(np.asarray(bits, dtype=np.uint8).tobytes()):
+        node = one[node] if bit else zero[node]
+        if node < 0:
+            symbols.append(-node - 1)
+            consumed = i + 1
+            node = root
+    return symbols, consumed
+
+
+def simulate(tree, n_symbols: int, seed: int) -> tuple:
+    """(counts, bits consumed, empirical PMF) of the counting walk over
+    65536-bit chunks."""
+    source = BitSource(seed)
+    zero = [c[0] for c in tree.children]
+    one = [c[1] for c in tree.children]
+    root = tree.root
+    counts = [0] * tree.lengths.m
+    node = root
+    emitted = 0
+    consumed = 0
+    walked = 0
+    while emitted < n_symbols:
+        for bit in source.take(1 << 16).tobytes():
+            node = one[node] if bit else zero[node]
+            walked += 1
+            if node < 0:
+                counts[-node - 1] += 1
+                emitted += 1
+                consumed = walked
+                node = root
+                if emitted == n_symbols:
+                    break
+    return tuple(counts), consumed, Pmf.normalized(np.array(counts, dtype=np.float64))
+
+
+def replayed_symbols(tree, seed: int, bits_consumed: int) -> list:
+    """The symbols the CLI printed: the first bits_consumed bits of the seed's
+    stream, generated again and parsed again."""
+    symbols, consumed = modulate(tree, BitSource(seed).take(bits_consumed))
+    assert consumed == bits_consumed
+    return symbols

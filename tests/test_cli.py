@@ -241,6 +241,13 @@ class TestSubcommands:
         assert code == 0
         assert err.count("\n") == 1 and err.startswith("dnc: C=")
 
+    def test_dnc_infinite_base_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "w.json"
+        path.write_text('{"type": "dnc", "weights": [1, 2, 3], "base": 1e400}')
+        code, out, err = run(capsys, "dnc", str(path))
+        assert code == 1 and out == ""
+        assert err == "error: dnc: log base must be finite\n"
+
     @pytest.mark.parametrize(
         "flags", [("--block", "0"), ("--block", "-3"), ("--lec", "--block", "0")]
     )
@@ -274,6 +281,15 @@ class TestSubcommands:
         assert time.perf_counter() - start < 5.0
         assert code == 2 and out == ""
         assert err == f"error: {count} entries, cap is 16777216\n"
+
+    def test_huge_symbol_count_is_guard_error_at_once(self, capsys, specs, tmp_path):
+        codebook = tmp_path / "cb.tsv"
+        run(capsys, "ghc", specs["pmf"], "--codebook", str(codebook))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "match", str(codebook), "--symbols", "100000000000")
+        assert time.perf_counter() - start < 5.0
+        assert code == 2 and out == ""
+        assert err == "error: match guard: 100000000000 symbols, cap is 16777216\n"
 
     def test_bad_subcommand_is_input_error(self, capsys):
         code, _, _ = run(capsys, "frobnicate")

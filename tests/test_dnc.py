@@ -52,6 +52,10 @@ class TestDncSpec:
         with pytest.raises(ValueError):
             DncSpec(np.array([1.0, 2.0]), b=1.0)
 
+    def test_rejects_infinite_base(self):
+        with pytest.raises(ValueError, match="log base must be finite"):
+            DncSpec(np.array([1.0, 2.0]), b=math.inf)
+
 
 class TestDncCapacity:
     def test_equal_weights(self):

@@ -6,11 +6,13 @@ from geomhuffman import (
     BitSource,
     CodeLengths,
     DegenerateTreeError,
+    GuardExceededError,
     canonical_tree,
     demodulate,
     modulate,
     simulate,
 )
+from geomhuffman.matcher import SYMBOL_CAP
 
 TREE_122 = canonical_tree(CodeLengths((1, 2, 2)))
 TREE_1233 = canonical_tree(CodeLengths((1, 2, 3, 3, INF)))
@@ -36,6 +38,9 @@ class TestBitSource:
         src = BitSource(7)
         parts = np.concatenate([src.take(1), src.take(1999), src.take(1000)])
         assert np.array_equal(whole, parts)
+
+    def test_position_indexes_the_stream(self):
+        assert np.array_equal(BitSource(7, position=130).take(70), BitSource(7).take(200)[130:])
 
     def test_roughly_fair(self):
         bits = BitSource(0).take(100_000)
@@ -127,6 +132,7 @@ class TestSimulate:
         symbols, consumed = modulate(TREE_122, bits)
         assert consumed == rep.bits_consumed
         assert len(symbols) == 100
+        assert rep.symbols == tuple(symbols)
         counts = [symbols.count(i) for i in range(3)]
         assert tuple(counts) == rep.symbol_counts
 
@@ -160,3 +166,7 @@ class TestSimulate:
     def test_rejects_nonpositive_n(self):
         with pytest.raises(ValueError):
             simulate(TREE_122, 0, seed=1)
+
+    def test_symbol_cap_is_guard_error(self):
+        with pytest.raises(GuardExceededError, match="cap is 16777216"):
+            simulate(TREE_122, SYMBOL_CAP + 1, seed=1)

@@ -1,26 +1,31 @@
 """The two-queue builder, the histogram Kraft check, the capacity solver's
-loop and the shared oracle scan against the heap builders, per-element
-fold, per-iteration validating loop and separate oracle they replaced
-(``reference.py``)."""
+loop, the shared oracle scan and the one-pass matcher against the heap
+builders, per-element fold, per-iteration validating loop, separate oracle
+and buffered, two-pass matcher they replaced (``reference.py``)."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference
 from geomhuffman import (
     INF,
+    BitSource,
     CodeLengths,
     DmcSpec,
     Pmf,
     blahut_arimoto,
     brute_force_min_kl,
+    canonical_tree,
+    demodulate,
     ghc,
     huffman,
+    modulate,
     product_pmf,
+    simulate,
 )
 from geomhuffman.errors import ConvergenceError, GuardExceededError
 
@@ -303,3 +308,89 @@ class TestOracleMatchesReference:
         x = np.array(xs)
         got = _oracle_outcome(brute_force_min_kl, x, None, tie_tol)
         assert got == _oracle_outcome(reference.brute_force_min_kl, x, None, tie_tol)
+
+
+def _full_tree(weights):
+    return canonical_tree(ghc(np.array(weights))[0])
+
+
+# full code trees from ghc on random weights: zeros and weights far below
+# the others are dropped from the tree, and two kept symbols give a two-leaf
+# tree; a single kept symbol is a degenerate matcher and is left out
+_trees = (
+    st.lists(
+        st.one_of(st.sampled_from([0.0, 1.0, 1.0, 2.0, 4.0]), st.floats(1e-4, 1e3)),
+        min_size=2,
+        max_size=40,
+    )
+    .filter(any)
+    .map(_full_tree)
+    .filter(lambda tree: not tree.is_single_leaf)
+)
+_seeds = st.one_of(st.integers(0, 2**64 - 1), st.integers(-(2**70), 2**70))
+# take sizes around a 64-bit word and around the 65536-bit chunk
+_take_sizes = st.one_of(
+    st.integers(0, 200),
+    st.sampled_from([0, 1, 63, 64, 65, 127, 128, 65535, 65536, 65537]),
+    st.integers(0, 70_000),
+)
+
+
+class TestMatcherMatchesReference:
+    @settings(max_examples=150, deadline=None)
+    @given(_trees, st.integers(1, 3000), _seeds)
+    @example(_full_tree([1.0, 1.0]), 1, 0)
+    @example(_full_tree([1.0, 3.0]), 2000, 5)
+    @example(_full_tree([0.328, 0.32, 0.22, 0.11, 0.022]), 1, 7)
+    def test_simulate(self, tree, n, seed):
+        rep = simulate(tree, n, seed)
+        counts, consumed, empirical = reference.simulate(tree, n, seed)
+        assert rep.symbols == tuple(reference.replayed_symbols(tree, seed, consumed))
+        assert rep.symbol_counts == counts
+        assert rep.bits_consumed == consumed
+        assert np.array_equal(rep.empirical.probs, empirical.probs)
+
+    @pytest.mark.parametrize(
+        "weights, n",
+        [
+            ([1.0, 1.0], 65_536),  # the last symbol ends the first chunk
+            ([1.0, 1.0], 65_537),
+            ([0.328, 0.32, 0.22, 0.11, 0.022], 50_000),  # 3 chunks
+            ([2.0**-j for j in range(20)], 40_000),  # depths up to 19
+        ],
+    )
+    def test_simulate_across_chunks(self, weights, n):
+        tree = _full_tree(weights)
+        rep = simulate(tree, n, 11)
+        counts, consumed, _ = reference.simulate(tree, n, 11)
+        assert consumed > 65_536 or n == 65_536
+        assert rep.symbols == tuple(reference.replayed_symbols(tree, 11, consumed))
+        assert (rep.symbol_counts, rep.bits_consumed) == (counts, consumed)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_seeds, st.lists(_take_sizes, min_size=1, max_size=10))
+    def test_bit_source(self, seed, sizes):
+        new, old = BitSource(seed), reference.BitSource(seed)
+        for n in sizes:
+            got = new.take(n)
+            assert got.dtype == np.uint8
+            assert np.array_equal(got, old.take(n))
+            assert new.position == old.position
+
+    @settings(max_examples=150, deadline=None)
+    @given(_trees, st.data())
+    def test_modulate(self, tree, data):
+        bits = np.array(data.draw(st.lists(st.integers(0, 1), max_size=300)), dtype=np.uint8)
+        assert modulate(tree, bits) == reference.modulate(tree, bits)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_trees, st.data())
+    def test_round_trip(self, tree, data):
+        kept = [i for i, w in enumerate(tree.codewords) if w is not None]
+        symbols = data.draw(st.lists(st.sampled_from(kept), max_size=100))
+        bits = demodulate(tree, symbols)
+        assert modulate(tree, bits) == (symbols, len(bits))
+        # a trailing proper prefix of a codeword stays unconsumed
+        word = tree.codewords[data.draw(st.sampled_from(kept))]
+        tail = word[: data.draw(st.integers(0, len(word) - 1))]
+        assert modulate(tree, bits + tail) == (symbols, len(bits))
