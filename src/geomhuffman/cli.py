@@ -242,7 +242,7 @@ def _cmd_dnc(args):
         "p_star": _pmf_json(cap.p_star),
     }
     if args.lec:
-        res = dnc_mod.lec(spec, tol=args.tol)
+        res = dnc_mod._lec(spec, cap, tol=args.tol)
         dp = dyadic.DyadicPmf.from_code(res.lengths)
         tilted = dnc_mod.weighted_target(cap.p_star, res.R)
         report.update(
@@ -255,7 +255,7 @@ def _cmd_dnc(args):
         )
         summary = f"dnc: C={cap.C:.6f}, LEC R={res.R:.6f} in {res.iterations} iterations"
     elif args.block > 1:
-        rep = dnc_mod.optimize_block_dnc(spec, args.block)
+        rep = dnc_mod._block_dnc(spec, cap, args.block)
         report.update(
             {
                 "block": rep.block,

@@ -20,6 +20,8 @@ from .errors import ConvergenceError, DimensionMismatchError
 from .pmf import PRODUCT_CAP, Pmf, _coordinate_sum, entropy, product_pmf
 
 ROOT_RESIDUAL_TOL = 1e-12
+NEWTON_STEPS = 60
+NEWTON_STEP_TOL = 2.0**-30  # relative step at which Newton on ln f has converged
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,16 +83,145 @@ class BlockDncReport:
     lower_bound: float
 
 
+def _newton_guess(w_scaled: np.ndarray, ln_b: float) -> tuple:
+    """Newton's estimate of the root of ln f, and the margin around it
+    outside which float f cannot fall on the other side of 1.
+
+    ln f is convex and decreasing, so Newton from s = 0 climbs towards the
+    root from the left.  The margin is (m+2) rounding errors of f, over the
+    slope |f'|, with a factor 64 to spare, plus 8 ulp of the root for the
+    rounding of the exponents.  Newton that leaves the finite positive
+    floats, or has not converged after NEWTON_STEPS steps, gives a nan
+    estimate, which rules on no step.
+    """
+    s = 0.0
+    with np.errstate(all="ignore"):
+        wl = w_scaled * ln_b
+        for _ in range(NEWTON_STEPS):
+            e = np.exp(-s * wl)
+            f = float(np.add.reduce(e))
+            slope = float(e @ wl)
+            if not (f > 0.0 and 0.0 < slope < math.inf):
+                break
+            step = math.log(f) * f / slope
+            noise = (w_scaled.size + 2) * 2.0**-52 / slope
+            s += step
+            if not 0.0 < s < math.inf:
+                break
+            # converged, or down to the steps f's rounding makes by itself
+            if abs(step) <= NEWTON_STEP_TOL * s + noise:
+                return s, 64.0 * noise + 8.0 * math.ulp(s)
+    return math.nan, math.inf
+
+
+def _bisection_root(residual, hi: float, guess: float = 0.0, margin: float = math.inf):
+    """The root plain bisection finds for a decreasing residual, replayed.
+
+    Doubles hi while residual(hi) >= 0, halves [0, hi] until its ends are
+    adjacent floats (at most 200 halvings), and returns the end with the
+    smaller |residual|.  A step at x farther than margin from guess takes
+    the side of the root from the side of guess that x lies on, without
+    evaluating residual(x); with an infinite margin every step evaluates,
+    which is plain bisection.  Returns None when the final ends do not
+    satisfy residual(lo) >= 0 > residual(hi), the sign of a guess that
+    ruled a step wrongly.
+    """
+    known = {}
+    low, high = guess - margin, guess + margin
+
+    def below_root(x: float) -> bool:
+        if x < low:
+            return True
+        if x > high:
+            return False
+        r = known[x] = residual(x)
+        return r >= 0.0
+
+    while below_root(hi):
+        hi *= 2.0
+        if hi == math.inf:
+            raise ValueError("weights too small: the capacity root is out of float range")
+    lo = 0.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if below_root(mid):
+            lo = mid
+        else:
+            hi = mid
+    r_lo = known[lo] if lo in known else residual(lo)
+    r_hi = known[hi] if hi in known else residual(hi)
+    if not r_lo >= 0.0 > r_hi:
+        return None
+    return lo if abs(r_lo) <= abs(r_hi) else hi
+
+
+def _saturated_root(w_scaled: np.ndarray, ln_b: float) -> float:
+    """The root of f where its w_min term rounds to 1, solved in log space.
+
+    The residual ln(sum of the other terms) - ln(-expm1(-s w_min ln b)) is
+    decreasing and keeps the terms that f loses beside 1.  Bisection on
+    the bit patterns of nonnegative floats, which order like their values,
+    reaches adjacent floats within 63 steps from any bracket; the end with
+    the smaller |residual| is the root.
+    """
+    i = int(np.argmin(w_scaled))
+    wl_min = float(w_scaled[i]) * ln_b
+    wl_rest = np.delete(w_scaled, i) * ln_b
+
+    def log_tail(s: float) -> float:
+        # ln(1 - e**-x) for x = s * wl_min, as ln s + ln wl_min +
+        # ln(-expm1(-x) / x) when x <= 1, which holds where x underflows
+        x = s * wl_min
+        if x > 1.0:
+            return math.log(-math.expm1(-x))
+        ratio = -math.expm1(-x) / x if x > 0.0 else 1.0
+        return math.log(s) + math.log(wl_min) + math.log(ratio)
+
+    def residual(s: float) -> float:
+        if s == 0.0:
+            return math.inf
+        a = -s * wl_rest
+        top = float(a.max())
+        if top == -math.inf:
+            return -math.inf
+        return top + math.log(float(np.add.reduce(np.exp(a - top)))) - log_tail(s)
+
+    def value(bits: int) -> float:
+        return float(np.int64(bits).view(np.float64))
+
+    lo, hi = 0, 0x7FF0000000000000  # the bit patterns of 0.0 and inf
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if residual(value(mid)) >= 0.0:
+            lo = mid
+        else:
+            hi = mid
+    lo, hi = value(lo), value(hi)
+    return lo if abs(residual(lo)) <= abs(residual(hi)) else hi
+
+
 def dnc_capacity(spec: DncSpec) -> DncCapacity:
     """Solve sum_i b**(-s w_i) = 1 for the unique positive root.
 
-    The map is strictly decreasing from m > 1 at s = 0, so plain bisection
-    on a doubled bracket is exact enough: 200 halvings collapse the bracket
-    to adjacent floats.  The root is solved for the weights scaled by a
-    power of two that brings w_min near 1 (as far as the largest weight
-    stays finite), so the root of the scaled problem sits a few doublings
-    from 1 and the scale carries it back exactly; a capacity near the top
-    of the float range (w_min near 1e-308) stays reachable.  The returned
+    The map f is strictly decreasing from m > 1 at s = 0.  The root is the
+    one plain bisection finds: double a bracket until f < 1, then halve it
+    (at most 200 times) until its ends are adjacent floats, and take the
+    end where f is closer to 1.  The bisection is replayed with the help
+    of a Newton estimate of the root: a step farther from the estimate
+    than f's rounding can reach is ruled by the estimate, and only the
+    steps near the root evaluate f.  If the final ends do not straddle 1,
+    the estimate misled a step, and plain bisection runs instead.
+
+    The root is solved for the weights scaled by a power of two that
+    brings w_min near 1 (as far as the largest weight stays finite), so
+    the root of the scaled problem sits a few doublings from 1 and the
+    scale carries it back exactly; a capacity near the top of the float
+    range (w_min near 1e-308) stays reachable.  When the w_min term
+    b**(-s w_min) rounds to exactly 1 at that root, f has lost the other
+    terms, and the root is solved again in log space, with the w_min term
+    as -expm1, by bisection on the float bit patterns.  The returned
     capacity is converted to bits per unit weight; p*_i = b**(-s w_i)
     follows from the root.
     """
@@ -100,10 +231,9 @@ def dnc_capacity(spec: DncSpec) -> DncCapacity:
     shift = min(-math.frexp(float(w.min()))[1], 1024 - math.frexp(float(w.max()))[1])
     w_scaled = np.ldexp(w, shift)
 
-    def f(s: float) -> float:
-        # np.add.reduce is ndarray.sum without its Python wrapper; bisection
-        # calls f about 60 times
-        return float(np.add.reduce(np.exp(-s * w_scaled * ln_b)))
+    def f_minus_1(s: float) -> float:
+        # np.add.reduce is ndarray.sum without its Python wrapper
+        return float(np.add.reduce(np.exp(-s * w_scaled * ln_b))) - 1.0
 
     # Products s * w_i beyond the float range give exp(-inf) = 0 exactly,
     # which is the right term; only the overflow warning is noise.
@@ -113,20 +243,12 @@ def dnc_capacity(spec: DncSpec) -> DncCapacity:
         # stay powers of two, so bisection passes through the same states
         # as from a start at 1.
         hi = math.ldexp(1.0, min(-math.frexp(float(w_scaled.min()))[1], 1023))
-        while f(hi) >= 1.0:
-            hi *= 2.0
-            if hi == math.inf:
-                raise ValueError("weights too small: the capacity root is out of float range")
-        lo = 0.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                break
-            if f(mid) >= 1.0:
-                lo = mid
-            else:
-                hi = mid
-        s = lo if abs(f(lo) - 1.0) <= abs(f(hi) - 1.0) else hi
+        guess, margin = _newton_guess(w_scaled, ln_b)
+        s = _bisection_root(f_minus_1, hi, guess, margin)
+        if s is None:
+            s = _bisection_root(f_minus_1, hi)
+        if math.exp(-s * float(w_scaled.min()) * ln_b) == 1.0:
+            s = _saturated_root(w_scaled, ln_b)
 
         c_scaled = s * math.log2(spec.b)
         c_bits = float(np.ldexp(c_scaled, shift))
@@ -136,7 +258,8 @@ def dnc_capacity(spec: DncSpec) -> DncCapacity:
     residual = abs(math.fsum(p_star.tolist()) - 1.0)
     if residual > ROOT_RESIDUAL_TOL:
         raise RuntimeError(f"capacity root residual {residual:.3e} above tolerance")
-    return DncCapacity(C=c_bits, p_star=Pmf(p_star), root_residual=residual)
+    # exp2 of nonpositive exponents, and the residual check is tighter than Pmf's
+    return DncCapacity(C=c_bits, p_star=Pmf._exact(p_star), root_residual=residual)
 
 
 def entropy_per_weight(p: Pmf, spec: DncSpec) -> float:
@@ -170,19 +293,26 @@ def lec(spec: DncSpec, tol: float = 1e-12, max_iter: int = 1000) -> LecResult:
     distinct optimal codes).  The returned R is the returned code's own
     rate divided by C.
     """
+    return _lec(spec, dnc_capacity(spec), tol, max_iter)
+
+
+def _lec(spec: DncSpec, capacity: DncCapacity, tol: float = 1e-12, max_iter: int = 1000) -> LecResult:
+    """:func:`lec` on the channel's already solved capacity."""
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError("tol must be finite and positive")
-    cap = dnc_capacity(spec)
-    pstar = cap.p_star.probs
+    pstar = capacity.p_star.probs
 
     R = 1.0
     last: "LecResult | None" = None
     for iteration in range(1, max_iter + 1):
         target = np.power(pstar, R)
         code, div = ghc(target)
-        dyadic = DyadicPmf.from_code(code)
-        rate = entropy_per_weight(dyadic.probs, spec)
-        r_new = rate / cap.C
+        # entropy_per_weight of the code's dyadic PMF, whose lengths
+        # CodeLengths has already checked
+        probs = np.exp2(-np.array(code.lengths, dtype=np.float64))
+        h = entropy(probs)
+        rate = h / float(probs @ spec.w) if h != 0.0 else 0.0
+        r_new = rate / capacity.C
         last = LecResult(R=r_new, lengths=code, rate=rate, iterations=iteration)
         if abs(div) <= tol or abs(r_new - R) <= 1e-12:
             return last
@@ -200,7 +330,11 @@ def optimize_block_dnc(spec: DncSpec, k: int, cap: int = PRODUCT_CAP) -> BlockDn
     per-coordinate marginals of the block PMF.  The reported lower bound is
     C - D / (k * w_min).
     """
-    capacity = dnc_capacity(spec)
+    return _block_dnc(spec, dnc_capacity(spec), k, cap)
+
+
+def _block_dnc(spec: DncSpec, capacity: DncCapacity, k: int, cap: int = PRODUCT_CAP) -> BlockDncReport:
+    """:func:`optimize_block_dnc` on the channel's already solved capacity."""
     target = product_pmf(capacity.p_star, k, cap=cap)
     code, d_total = ghc(target.probs)
     dyadic = DyadicPmf.from_code(code)

@@ -141,7 +141,8 @@ class DyadicPmf:
 
     CodeLengths has already proved the Kraft sum exactly 1 with every
     l <= MAX_TREE_LEN, so every 2**(-l) is an exact float and the
-    probabilities sum to exactly 1.
+    probabilities sum to exactly 1; the Pmf is built without checking
+    them again.
     """
 
     code: CodeLengths
@@ -149,7 +150,7 @@ class DyadicPmf:
 
     @classmethod
     def from_code(cls, code: CodeLengths) -> "DyadicPmf":
-        return cls(code, Pmf(np.exp2(-np.array(code.lengths, dtype=np.float64))))
+        return cls(code, Pmf._exact(np.exp2(-np.array(code.lengths, dtype=np.float64))))
 
 
 def canonical_codewords(code: CodeLengths) -> tuple:

@@ -65,6 +65,16 @@ class Pmf:
         return cls(arr / total)
 
     @classmethod
+    def _exact(cls, arr: np.ndarray) -> "Pmf":
+        """A Pmf over a fresh 1-D float array whose entries the caller has
+        already proved finite, nonnegative and summing to 1 within SUM_TOL;
+        the array is frozen in place, neither copied nor checked again."""
+        arr.setflags(write=False)
+        pmf = object.__new__(cls)
+        object.__setattr__(pmf, "probs", arr)
+        return pmf
+
+    @classmethod
     def uniform(cls, m: int) -> "Pmf":
         return cls(np.full(m, 1.0 / m))
 
@@ -79,9 +89,9 @@ def as_weights(x) -> np.ndarray:
 def _checked_weights(x) -> np.ndarray:
     """The float vector behind x; every entry must be finite and >= 0."""
     arr = as_weights(x)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("weights must be finite")
-    if np.any(arr < 0.0):
+    if (arr < 0.0).any():
         raise ValueError("weights must be nonnegative")
     return arr
 

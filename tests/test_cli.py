@@ -153,6 +153,20 @@ class TestSubcommands:
         assert report["block"] == 2
         assert len(report["lengths"]) == 9
 
+    @pytest.mark.parametrize("flags", [(), ("--lec",), ("--block", "3")])
+    def test_dnc_solves_the_capacity_once(self, capsys, specs, monkeypatch, flags):
+        calls = []
+        solve = dnc_mod.dnc_capacity
+
+        def counting(spec):
+            calls.append(spec)
+            return solve(spec)
+
+        monkeypatch.setattr(dnc_mod, "dnc_capacity", counting)
+        code, out, _ = run(capsys, "dnc", specs["dnc"], *flags)
+        assert code == 0 and json.loads(out)["command"] == "dnc"
+        assert len(calls) == 1
+
     def test_match_and_dematch_inverse(self, capsys, specs, tmp_path):
         codebook = tmp_path / "cb.tsv"
         code, _, _ = run(capsys, "ghc", specs["pmf"], "--codebook", str(codebook))

@@ -35,6 +35,16 @@ P_STAR_12 = np.array([0.618033988749895, 0.381966011250105])
 C_123 = 0.879146421606638
 P_STAR_123 = np.array([0.543689012692076, 0.295597742522085, 0.160713244785839])
 
+# capacities where the w_min term of the root equation rounds to 1, from
+# mpmath 1.3.0 at 1400 digits (the terms reach 1e-596)
+SATURATED_ROOTS = {
+    (1.0, 1e20): 6.1035745766954882949e-19,
+    (1e-10, 1e10): 6.1035745766954882897e-9,
+    (1e-300, 1e300): 1.9827323490807608453e-297,
+    (1e-300, 1.0, 1e300): 987.16005463227190361,
+    (2.0, 1e19, 3e19, 1e20): 5.6817145723071777014e-18,
+}
+
 W12 = DncSpec(np.array([1.0, 2.0]))
 W123 = DncSpec(np.array([1.0, 2.0, 3.0]))
 
@@ -129,7 +139,21 @@ class TestDncCapacity:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             cap = dnc_capacity(DncSpec(np.array([1e-300, 1e300])))
-        assert math.isfinite(cap.C) and cap.root_residual <= 1e-12
+        assert cap.C == pytest.approx(SATURATED_ROOTS[(1e-300, 1e300)], rel=1e-14, abs=0.0)
+        assert cap.root_residual <= 1e-12
+
+    @pytest.mark.parametrize("w", list(SATURATED_ROOTS))
+    def test_saturated_w_min_term_solves_in_log_space(self, w):
+        # b**(-C w_min) rounds to 1 at the root, where f sees only the w_min
+        # term; the capacity used to come out as 6.5e-17 on (1, 1e20)
+        cap = dnc_capacity(DncSpec(np.array(w)))
+        assert cap.C == pytest.approx(SATURATED_ROOTS[w], rel=1e-14, abs=0.0)
+        assert cap.root_residual <= 1e-12
+
+    @pytest.mark.parametrize("w", [(1.0, 1e16), (1.0, 1e17), (1.0, 3e17), (2.0, 5.0, 1e17)])
+    def test_spreads_below_saturation_keep_the_bisection_root(self, w):
+        spec = DncSpec(np.array(w))
+        assert dnc_capacity(spec).C == reference.dnc_capacity(spec).C
 
     def test_capacity_out_of_float_range_is_value_error(self):
         # C = 1/w = 2**1074 for the smallest subnormal weight

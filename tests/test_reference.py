@@ -1,9 +1,11 @@
 """The two-queue builder, the histogram Kraft check, the capacity solver's
-loop, the shared oracle scan and the one-pass matcher against the heap
-builders, per-element fold, per-iteration validating loop, separate oracle
-and buffered, two-pass matcher they replaced (``reference.py``)."""
+loop, the shared oracle scan, the one-pass matcher and the Newton-guided
+DNC capacity and lean LEC step against the heap builders, per-element fold,
+per-iteration validating loop, separate oracle, buffered two-pass matcher,
+plain capacity bisection and LEC they replaced (``reference.py``)."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,17 +18,21 @@ from geomhuffman import (
     BitSource,
     CodeLengths,
     DmcSpec,
+    DncSpec,
     Pmf,
     blahut_arimoto,
     brute_force_min_kl,
     canonical_tree,
     demodulate,
+    dnc_capacity,
     ghc,
     huffman,
+    lec,
     modulate,
     product_pmf,
     simulate,
 )
+from geomhuffman import dnc
 from geomhuffman.errors import ConvergenceError, GuardExceededError
 
 # exact ties, zeros, powers of two and pairs exactly 4x apart (the GHC drop
@@ -182,6 +188,104 @@ class TestHistogramKraft:
         lengths = (1025, 1) + (2,) * 2
         with pytest.raises(GuardExceededError, match="length 1025 exceeds cap 1024"):
             CodeLengths(lengths)
+
+
+@st.composite
+def _dnc_specs(draw):
+    """DNCs with 2-64 symbols: integer weights, uniform weights, near-ties a
+    few ulps apart, or log-uniform weights spread over up to 15 decades
+    around a scale between 1e-20 and 1e20 (the w_min term of the root
+    equation stays below 1 there), in base 2 or another base."""
+    m = draw(st.integers(2, 64))
+    kind = draw(st.sampled_from(["integer", "uniform", "near-ties", "spread"]))
+    if kind == "integer":
+        w = draw(st.lists(st.integers(1, 12), min_size=m, max_size=m))
+    elif kind == "uniform":
+        w = draw(st.lists(st.floats(0.5, 8.0), min_size=m, max_size=m))
+    elif kind == "near-ties":
+        values = draw(st.lists(st.sampled_from([0.5, 1.0, 1.5, 3.0, 7.0]), min_size=1, max_size=3))
+        steps = draw(st.lists(st.integers(-4, 4), min_size=m, max_size=m))
+        w = [values[i % len(values)] * (1.0 + j * 2.0**-52) for i, j in enumerate(steps)]
+    else:
+        scale = 10.0 ** draw(st.floats(-20.0, 20.0))
+        decades = draw(st.floats(0.0, 15.0))
+        w = [scale * 10.0 ** (decades * u) for u in draw(st.lists(st.floats(0.0, 1.0), min_size=m, max_size=m))]
+    b = draw(st.sampled_from([2.0, 2.0, 3.0, math.e, 10.0, 1.5, 256.0]))
+    return DncSpec(np.array(w, dtype=np.float64), b)
+
+
+def _solve_recording_replays(spec):
+    """dnc_capacity(spec), and the results of its bisection replays in order."""
+    results = []
+    replay = dnc._bisection_root
+
+    def recording(*args):
+        results.append(replay(*args))
+        return results[-1]
+
+    with mock.patch.object(dnc, "_bisection_root", recording):
+        return dnc_capacity(spec), results
+
+
+_NAMED_DNCS = [
+    ([1.0, 2.0], 2.0),
+    ([1.0, 2.0, 3.0], 2.0),
+    ([1, 8, 5, 4, 1, 6, 4, 6], 2.0),
+    ([1.0, 1.0], 2.0),
+    # p* = (1 - 1e-5, 1e-5): f's rounding reaches some 6e-12 of the root,
+    # past a margin fixed at 1e-13 of it
+    ([1e-3, 1e3], 2.0),
+    ([1e-3, 1e3, 1e3], 3.0),
+    ([1.0, 1e12], 2.0),
+    ([1.0, 1e16], 2.0),
+    ([1e300, 1e300], 2.0),
+    ([1e-300, 1e-300], 2.0),
+    ([1e-308, 1e-308], 2.0),
+    ([0.5, 1.7, 2.2, 9.0], 10.0),
+]
+
+
+class TestDncCapacityMatchesReference:
+    @staticmethod
+    def _check(spec):
+        got, replays = _solve_recording_replays(spec)
+        want = reference.dnc_capacity(spec)
+        assert got.C == want.C
+        assert got.p_star.probs.tobytes() == want.p_star.probs.tobytes()
+        assert got.root_residual == want.root_residual
+        # the Newton margin holds the root: the guided replay settles on
+        # the bisection's ends without falling back to plain bisection
+        assert len(replays) == 1 and replays[0] is not None
+
+    @settings(max_examples=300, deadline=None)
+    @given(_dnc_specs())
+    def test_same_capacity_pmf_and_residual(self, spec):
+        self._check(spec)
+
+    @pytest.mark.parametrize("w, b", _NAMED_DNCS)
+    def test_named_channels(self, w, b):
+        self._check(DncSpec(np.array(w, dtype=np.float64), b))
+
+
+class TestLecMatchesReference:
+    @staticmethod
+    def _outcome(solve, spec, max_iter):
+        try:
+            res = solve(spec, max_iter=max_iter)
+            tag = "ok"
+        except ConvergenceError as exc:
+            res, tag = exc.best, "ConvergenceError"
+        return tag, res.R, res.rate, res.lengths.lengths, res.iterations
+
+    @settings(max_examples=150, deadline=None)
+    @given(_dnc_specs(), st.sampled_from([1, 2, 1000]))
+    def test_same_fixed_point(self, spec, max_iter):
+        assert self._outcome(lec, spec, max_iter) == self._outcome(reference.lec, spec, max_iter)
+
+    @pytest.mark.parametrize("w, b", _NAMED_DNCS)
+    def test_named_channels(self, w, b):
+        spec = DncSpec(np.array(w, dtype=np.float64), b)
+        assert self._outcome(lec, spec, 1000) == self._outcome(reference.lec, spec, 1000)
 
 
 # transition entries: exact zeros, small integers (equal columns after
