@@ -96,7 +96,8 @@ def _two_queue_depths(keys: list, ties: list, merge, drop=None) -> list:
 
 
 def _code_and_divergence(order: np.ndarray, depths: list, arr: np.ndarray) -> tuple:
-    """CodeLengths in symbol order from per-leaf depths, and D(p || arr)."""
+    """CodeLengths in symbol order from the depths of the first len(depths)
+    symbols of order (the others get inf), and D(p || arr)."""
     lengths = [INF] * arr.size
     for sym, depth in zip(order.tolist(), depths):
         lengths[sym] = depth
@@ -195,9 +196,9 @@ def gcc(q: Pmf) -> tuple:
     arr = q.probs
     order = np.argsort(-arr, kind="stable")
     order = order[arr[order] > 0.0]
-    lengths = [INF] * q.m
+    depths = []  # lengths of the kept symbols, in the order of ``order``
     units, scale = 0, 0  # the Kraft sum so far is units / 2**scale
-    for sym, length in zip(order.tolist(), _floor_neg_log2(arr[order]).tolist()):
+    for length in _floor_neg_log2(arr[order]).tolist():
         if length > scale:
             units <<= length - scale
             scale = length
@@ -206,13 +207,11 @@ def gcc(q: Pmf) -> tuple:
             raise RuntimeError(
                 "internal consistency error: greedy Kraft sum overshot 1"
             )
-        lengths[sym] = length
+        depths.append(length)
         if units == 1 << scale:
             break
     else:
         raise RuntimeError(
             "internal consistency error: exact Kraft equality never reached"
         )
-    code = CodeLengths(tuple(lengths))
-    dyadic = DyadicPmf.from_code(code)
-    return code, kl_divergence(dyadic.probs, arr)
+    return _code_and_divergence(order, depths, arr)

@@ -109,11 +109,20 @@ def _read_file(path: str) -> bytes:
         raise SpecFileError(f"cannot read {path}: {exc}") from None
 
 
+def _numbers(value, depth: int) -> bool:
+    """Whether value is a JSON number (an int or float, not a bool) at
+    depth 0, or a list whose entries are such values of depth - 1."""
+    if depth == 0:
+        return type(value) in (int, float)
+    return isinstance(value, list) and all(_numbers(v, depth - 1) for v in value)
+
+
 def load_spec(path: str):
     """Parse and validate a channel spec file.
 
     Returns (digest, kind, payload) where kind is 'pmf', 'dmc', or 'dnc'
-    and payload is the validated Pmf / DmcSpec / DncSpec.
+    and payload is the validated Pmf / DmcSpec / DncSpec.  Arrays and the
+    base must hold JSON numbers, not what numpy would coerce into them.
     """
     raw = _read_file(path)
     try:
@@ -132,6 +141,8 @@ def load_spec(path: str):
                 payload = Pmf(np.array(probs, dtype=np.float64))
             except ValueError as exc:
                 raise SpecFileError(f"pmf.probs: {exc}") from None
+            if not _numbers(probs, 1):
+                raise SpecFileError("pmf.probs: expected a nonempty array of numbers")
         elif kind == "dmc":
             rows = doc.get("transition")
             if not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows):
@@ -143,6 +154,8 @@ def load_spec(path: str):
                 payload = dmc_mod.DmcSpec(np.array(rows, dtype=np.float64))
             except ValueError as exc:
                 raise SpecFileError(f"dmc.transition: {exc}") from None
+            if not _numbers(rows, 2):
+                raise SpecFileError("dmc.transition: expected a row-major 2-d array")
         elif kind == "dnc":
             weights = doc.get("weights")
             if not isinstance(weights, list) or not weights:
@@ -152,6 +165,10 @@ def load_spec(path: str):
                 payload = dnc_mod.DncSpec(np.array(weights, dtype=np.float64), float(base))
             except ValueError as exc:
                 raise SpecFileError(f"dnc: {exc}") from None
+            if not _numbers(weights, 1):
+                raise SpecFileError("dnc.weights: expected a nonempty array of numbers")
+            if not _numbers(base, 0):
+                raise SpecFileError("dnc.base: expected a number")
         else:
             raise SpecFileError(f"{path}: unknown spec type {kind!r}")
     except (TypeError, OverflowError) as exc:
@@ -233,43 +250,35 @@ def _cmd_dnc(args):
         raise _UsageError("block length k must be >= 1")
     if args.lec and args.block > 1:
         raise _UsageError("--lec and --block are mutually exclusive")
-    cap = dnc_mod.dnc_capacity(spec)
+    if args.lec:
+        res = dnc_mod.lec(spec, tol=args.tol)
+        cap = res.solved
+        # D from the tilt p*^R at the returned R, which rounding may put above 1
+        tilted = np.power(cap.p_star.probs, res.R)
+        d = kl_divergence(dyadic.DyadicPmf.from_code(res.lengths).probs, tilted)
+        entries = {"R": res.R, "rate": res.rate, "iterations": res.iterations,
+                   **_code_entries(res.lengths, d)}
+        summary = f"LEC R={res.R:.6f} in {res.iterations} iterations"
+    elif args.block > 1:
+        rep = dnc_mod.optimize_block_dnc(spec, args.block)
+        cap = rep.solved
+        entries = {"block": rep.block, **_code_entries(rep.lengths, rep.kl_bits),
+                   "rate": rep.rate, "bound": rep.lower_bound}
+        summary = f"block={rep.block}, rate={rep.rate:.6f}"
+    else:
+        cap = dnc_mod.dnc_capacity(spec)
+        code, d = approximators.ghc(cap.p_star.probs)
+        entries = _code_entries(code, d)
+        summary = f"single-shot kl={d:.6f} bits"
     report = {
         "command": "dnc",
         "input_digest": digest,
         "capacity_bits": cap.C,
         "root_residual": cap.root_residual,
         "p_star": _pmf_json(cap.p_star),
+        **entries,
     }
-    if args.lec:
-        res = dnc_mod._lec(spec, cap, tol=args.tol)
-        dp = dyadic.DyadicPmf.from_code(res.lengths)
-        tilted = dnc_mod.weighted_target(cap.p_star, res.R)
-        report.update(
-            {
-                "R": res.R,
-                "rate": res.rate,
-                "iterations": res.iterations,
-                **_code_entries(res.lengths, kl_divergence(dp.probs, tilted)),
-            }
-        )
-        summary = f"dnc: C={cap.C:.6f}, LEC R={res.R:.6f} in {res.iterations} iterations"
-    elif args.block > 1:
-        rep = dnc_mod._block_dnc(spec, cap, args.block)
-        report.update(
-            {
-                "block": rep.block,
-                **_code_entries(rep.lengths, rep.kl_bits),
-                "rate": rep.rate,
-                "bound": rep.lower_bound,
-            }
-        )
-        summary = f"dnc: C={cap.C:.6f}, block={rep.block}, rate={rep.rate:.6f}"
-    else:
-        code, d = approximators.ghc(cap.p_star.probs)
-        report.update(_code_entries(code, d))
-        summary = f"dnc: C={cap.C:.6f}, single-shot kl={d:.6f} bits"
-    return report, summary
+    return report, f"dnc: C={cap.C:.6f}, {summary}"
 
 
 def _load_tree(path: str):

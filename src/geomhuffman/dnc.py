@@ -17,7 +17,7 @@ import numpy as np
 from .approximators import ghc
 from .dyadic import CodeLengths, DyadicPmf
 from .errors import ConvergenceError, DimensionMismatchError
-from .pmf import PRODUCT_CAP, Pmf, _coordinate_sum, entropy, product_pmf
+from .pmf import PRODUCT_CAP, Pmf, _coordinate_sum, as_weights, entropy, product_pmf
 
 ROOT_RESIDUAL_TOL = 1e-12
 NEWTON_STEPS = 60
@@ -62,17 +62,18 @@ class DncCapacity:
 @dataclass(frozen=True, eq=False)
 class LecResult:
     """Converged fixed point: achieved capacity fraction R, the dyadic code,
-    its rate in bits per unit weight, and the iteration count."""
+    its rate in bits per unit weight, the iteration count and the solve."""
 
     R: float
     lengths: CodeLengths
     rate: float
     iterations: int
+    solved: DncCapacity
 
 
 @dataclass(frozen=True, eq=False)
 class BlockDncReport:
-    """Dyadic optimization over blocks of k symbols."""
+    """Dyadic optimization over blocks of k symbols, and the capacity solve."""
 
     block: int
     capacity: float
@@ -81,6 +82,7 @@ class BlockDncReport:
     d_over_k: float
     rate: float
     lower_bound: float
+    solved: DncCapacity
 
 
 def _newton_guess(w_scaled: np.ndarray, ln_b: float) -> tuple:
@@ -262,14 +264,16 @@ def dnc_capacity(spec: DncSpec) -> DncCapacity:
     return DncCapacity(C=c_bits, p_star=Pmf._exact(p_star), root_residual=residual)
 
 
-def entropy_per_weight(p: Pmf, spec: DncSpec) -> float:
-    """H(p) divided by the average weight, in bits per unit weight."""
-    if p.m != spec.m:
-        raise DimensionMismatchError(f"PMF has {p.m} entries, channel has {spec.m}")
-    h = entropy(p)
+def entropy_per_weight(p, spec: DncSpec) -> float:
+    """H(p) divided by the average weight, in bits per unit weight; p is a
+    Pmf or a plain probability vector."""
+    arr = as_weights(p)
+    if arr.size != spec.m:
+        raise DimensionMismatchError(f"PMF has {arr.size} entries, channel has {spec.m}")
+    h = entropy(arr)
     if h == 0.0:
         return 0.0
-    return h / float(p.probs @ spec.w)
+    return h / float(arr @ spec.w)
 
 
 def weighted_target(p_star: Pmf, R: float) -> np.ndarray:
@@ -291,13 +295,9 @@ def lec(spec: DncSpec, tol: float = 1e-12, max_iter: int = 1000) -> LecResult:
     fixed point.  Iteration stops when its magnitude falls below tol or
     when R stops moving (the |dR| fallback covers exact ties between
     distinct optimal codes).  The returned R is the returned code's own
-    rate divided by C.
+    rate divided by C, the C of the solve returned in ``solved``.
     """
-    return _lec(spec, dnc_capacity(spec), tol, max_iter)
-
-
-def _lec(spec: DncSpec, capacity: DncCapacity, tol: float = 1e-12, max_iter: int = 1000) -> LecResult:
-    """:func:`lec` on the channel's already solved capacity."""
+    capacity = dnc_capacity(spec)
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError("tol must be finite and positive")
     pstar = capacity.p_star.probs
@@ -305,15 +305,11 @@ def _lec(spec: DncSpec, capacity: DncCapacity, tol: float = 1e-12, max_iter: int
     R = 1.0
     last: "LecResult | None" = None
     for iteration in range(1, max_iter + 1):
-        target = np.power(pstar, R)
-        code, div = ghc(target)
-        # entropy_per_weight of the code's dyadic PMF, whose lengths
-        # CodeLengths has already checked
-        probs = np.exp2(-np.array(code.lengths, dtype=np.float64))
-        h = entropy(probs)
-        rate = h / float(probs @ spec.w) if h != 0.0 else 0.0
+        code, div = ghc(np.power(pstar, R))
+        # the code's dyadic PMF, whose lengths CodeLengths has already checked
+        rate = entropy_per_weight(np.exp2(-np.array(code.lengths, dtype=np.float64)), spec)
         r_new = rate / capacity.C
-        last = LecResult(R=r_new, lengths=code, rate=rate, iterations=iteration)
+        last = LecResult(R=r_new, lengths=code, rate=rate, iterations=iteration, solved=capacity)
         if abs(div) <= tol or abs(r_new - R) <= 1e-12:
             return last
         R = r_new
@@ -330,11 +326,7 @@ def optimize_block_dnc(spec: DncSpec, k: int, cap: int = PRODUCT_CAP) -> BlockDn
     per-coordinate marginals of the block PMF.  The reported lower bound is
     C - D / (k * w_min).
     """
-    return _block_dnc(spec, dnc_capacity(spec), k, cap)
-
-
-def _block_dnc(spec: DncSpec, capacity: DncCapacity, k: int, cap: int = PRODUCT_CAP) -> BlockDncReport:
-    """:func:`optimize_block_dnc` on the channel's already solved capacity."""
+    capacity = dnc_capacity(spec)
     target = product_pmf(capacity.p_star, k, cap=cap)
     code, d_total = ghc(target.probs)
     dyadic = DyadicPmf.from_code(code)
@@ -344,11 +336,6 @@ def _block_dnc(spec: DncSpec, capacity: DncCapacity, k: int, cap: int = PRODUCT_
 
     w_min = float(spec.w.min())
     return BlockDncReport(
-        block=k,
-        capacity=capacity.C,
-        lengths=code,
-        kl_bits=d_total,
-        d_over_k=d_total / k,
-        rate=rate,
-        lower_bound=capacity.C - d_total / (k * w_min),
+        block=k, capacity=capacity.C, lengths=code, kl_bits=d_total, d_over_k=d_total / k,
+        rate=rate, lower_bound=capacity.C - d_total / (k * w_min), solved=capacity,
     )

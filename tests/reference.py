@@ -350,7 +350,7 @@ def lec(spec: DncSpec, tol: float = 1e-12, max_iter: int = 1000) -> LecResult:
         dyadic = DyadicPmf.from_code(code)
         rate = entropy_per_weight(dyadic.probs, spec)
         r_new = rate / cap.C
-        last = LecResult(R=r_new, lengths=code, rate=rate, iterations=iteration)
+        last = LecResult(R=r_new, lengths=code, rate=rate, iterations=iteration, solved=cap)
         if abs(div) <= tol or abs(r_new - R) <= 1e-12:
             return last
         R = r_new

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geomhuffman import (
     INF,
@@ -111,6 +113,28 @@ class TestGhc:
         # both powers of two): the tie resolves to dropping the smallest
         code, _ = ghc(np.array([0.75, 0.25, 0.0625]))
         assert code.lengths == (1, 1, INF)
+
+
+    # zero or (1, 3, 5) * 2**-k: exact ties between weights, merged
+    # geometric means that tie with leaves, and ratios of exactly 4
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.just(0.0),
+                st.builds(lambda a, k: a * 2.0**-k, st.sampled_from([1, 3, 5]), st.integers(0, 8)),
+            ),
+            min_size=2,
+            max_size=8,
+        ).filter(lambda w: any(w))
+    )
+    def test_matches_oracle_at_ties_and_drop_boundaries(self, w):
+        x = np.array(w)
+        code, d = ghc(x)
+        _, d_oracle = brute_force_min_kl(x)
+        assert abs(d - d_oracle) <= 1e-12
+        kept = tuple(sorted(e for e in code.lengths if e != INF))
+        assert kept in [tuple(ms) for ms in brute_force_optima(x)]
 
 
 class TestHuffman:

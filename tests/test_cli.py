@@ -72,6 +72,48 @@ class TestLoadSpec:
             load_spec(str(path))
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"type": "pmf", "probs": ["0.5", "0.5"]}', "pmf.probs: expected a nonempty array of numbers"),
+        ('{"type": "pmf", "probs": [true, false]}', "pmf.probs: expected a nonempty array of numbers"),
+        ('{"type": "pmf", "probs": [[0.5], [0.5]]}', "pmf.probs: expected a nonempty array of numbers"),
+        ('{"type": "dnc", "weights": ["1", "2"], "base": "3"}', "dnc.weights: expected a nonempty array of numbers"),
+        ('{"type": "dnc", "weights": [true, 2]}', "dnc.weights: expected a nonempty array of numbers"),
+        ('{"type": "dnc", "weights": [[1], [2]]}', "dnc.weights: expected a nonempty array of numbers"),
+        ('{"type": "dnc", "weights": [1, 2], "base": "3"}', "dnc.base: expected a number"),
+        ('{"type": "dmc", "transition": [["1", 0.5], [0, 0.5]]}', "dmc.transition: expected a row-major 2-d array"),
+        ('{"type": "dmc", "transition": [[true, 0.5], [false, 0.5]]}', "dmc.transition: expected a row-major 2-d array"),
+    ],
+)
+def test_spec_entries_must_be_json_numbers(capsys, tmp_path, text, message):
+    # numpy would coerce each of these into a valid channel
+    path = tmp_path / "spec.json"
+    path.write_text(text)
+    command = {"pmf": "ghc", "dmc": "dmc", "dnc": "dnc"}[json.loads(text)["type"]]
+    code, out, err = run(capsys, command, str(path))
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"type": "pmf", "probs": ["a", "b"]}', "pmf.probs: could not convert string to float: 'a'"),
+        ('{"type": "pmf", "probs": ["0.5", "0.4"]}', "pmf.probs: PMF entries sum to 0.9, expected 1 within 1e-09"),
+        ('{"type": "dnc", "weights": [1, 2], "base": true}', "dnc: log base must be > 1"),
+        ('{"type": "dnc", "weights": [1, 2], "base": "x"}', "dnc: could not convert string to float: 'x'"),
+    ],
+)
+def test_spec_errors_before_the_number_check_keep_their_message(capsys, tmp_path, text, message):
+    path = tmp_path / "spec.json"
+    path.write_text(text)
+    command = {"pmf": "ghc", "dnc": "dnc"}[json.loads(text)["type"]]
+    code, out, err = run(capsys, command, str(path))
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
+
+
 class TestEmitReport:
     def test_json_round_trip(self):
         report = {"command": "ghc", "lengths": [1, 2, "inf"], "kl_bits": 0.136195}
@@ -166,6 +208,20 @@ class TestSubcommands:
         code, out, _ = run(capsys, "dnc", specs["dnc"], *flags)
         assert code == 0 and json.loads(out)["command"] == "dnc"
         assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "w, b", [((1, 1), 3), ((1, 2, 2), 10), ((5, 5, 5, 5), 1.5)]
+    )
+    def test_dnc_lec_on_a_dyadic_p_star(self, capsys, tmp_path, w, b):
+        # lec returns R = 1 + 2**-52 here; the divergence is taken against
+        # p*^R all the same instead of failing the [0, 1] guard on R
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps({"type": "dnc", "weights": list(w), "base": b}))
+        code, out, err = run(capsys, "dnc", str(path), "--lec")
+        assert code == 0, err
+        report = json.loads(out)
+        assert report["R"] == pytest.approx(1.0, abs=1e-15)
+        assert report["kl_bits"] == pytest.approx(0.0, abs=1e-12)
 
     def test_match_and_dematch_inverse(self, capsys, specs, tmp_path):
         codebook = tmp_path / "cb.tsv"

@@ -1,0 +1,190 @@
+"""A fuzz of the command line, run in process through ``cli.main``.
+
+Spec files mix valid channels with non-number JSON values, NaN and
+Infinity tokens and numbers beyond the float range; codebooks mix valid
+canonical codes with duplicate symbols, gaps, prefix clashes and random
+bit strings; flags take valid and invalid values.  Every run must end in
+exit 0, 1 or 2 without an exception escaping ``main``: exit 0 with
+parseable stdout, exit 1 or 2 with empty stdout and exactly one
+``error:`` line on stderr.  Sizes are small, so every example ends within
+a second or so.
+"""
+
+import contextlib
+import io
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from geomhuffman import canonical_tree, codebook_text, ghc
+from geomhuffman.cli import main
+
+# JSON texts of entries that are not numbers, and number tokens that json
+# reads as non-finite or out-of-range floats
+NON_NUMBERS = ['"0.5"', '"1"', '"x"', "true", "false", "null", "[0.5]", "[]", "{}"]
+ODD_NUMBERS = ["NaN", "Infinity", "-Infinity", "1e400", "-1e400", "1e-400", "0", "-1"]
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+def run_main(argv):
+    """Exit code, stdout and stderr of one in-process CLI call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def check_outcome(code, out, err, fmt="json"):
+    assert code in (0, 1, 2)
+    if code == 0:
+        if fmt == "csv":
+            assert all("," in line for line in out.splitlines())
+        else:
+            assert isinstance(json.loads(out), dict)
+        assert err.count("\n") == 1 and not err.startswith("error:")
+    else:
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+def _normalized(ints):
+    total = sum(ints)
+    return [repr(v / total) for v in ints]
+
+
+@st.composite
+def _entry_texts(draw, valid):
+    """JSON texts of entries: the valid ones, one of them possibly replaced
+    by a non-number or an odd number token; and whether a non-number went in."""
+    texts = list(valid)
+    kind = draw(st.sampled_from(["valid", "non-number", "odd"]))
+    if kind == "valid":
+        return texts, False
+    i = draw(st.integers(0, len(texts) - 1))
+    texts[i] = draw(st.sampled_from(NON_NUMBERS if kind == "non-number" else ODD_NUMBERS))
+    return texts, kind == "non-number"
+
+
+@st.composite
+def spec_docs(draw):
+    """(command, spec JSON text, whether an entry is not a number)."""
+    kind = draw(st.sampled_from(["pmf", "dmc", "dnc"]))
+    ints = st.integers(1, 9)
+    if kind == "pmf":
+        probs = _normalized(draw(st.lists(ints, min_size=1, max_size=6)))
+        texts, bad = draw(_entry_texts(probs))
+        command = draw(st.sampled_from(["ghc", "huffman", "gcc", "oracle"]))
+        return command, '{"type": "pmf", "probs": [%s]}' % ", ".join(texts), bad
+    if kind == "dmc":
+        n, m = draw(st.integers(1, 3)), draw(st.integers(2, 3))
+        cols = [_normalized(draw(st.lists(ints, min_size=n, max_size=n))) for _ in range(m)]
+        flat, bad = draw(_entry_texts([cols[i][j] for j in range(n) for i in range(m)]))
+        rows = ("[%s]" % ", ".join(flat[j * m:(j + 1) * m]) for j in range(n))
+        return "dmc", '{"type": "dmc", "transition": [%s]}' % ", ".join(rows), bad
+    weights = [str(v) for v in draw(st.lists(st.integers(1, 5), min_size=2, max_size=5))]
+    texts, bad = draw(_entry_texts(weights))
+    base = draw(st.sampled_from(["2", "3", "10", "1.5"] + NON_NUMBERS + ODD_NUMBERS))
+    bad = bad or base in NON_NUMBERS
+    return "dnc", '{"type": "dnc", "weights": [%s], "base": %s}' % (", ".join(texts), base), bad
+
+
+def _flags(command):
+    tol = st.sampled_from(["1e-9", "1e-3", "1e-300", "nan", "inf", "0", "-1"])
+    block = st.sampled_from(["1", "2", "3", "0", "-1", "x"])
+    fmt = st.sampled_from(["json", "csv", "yaml"])
+    if command == "dmc":
+        extra = {"--block": block, "--tol": tol, "--max-iter": st.sampled_from(["1", "2", "50", "0"])}
+    elif command == "dnc":
+        extra = {"--block": block, "--tol": tol, "--lec": st.none()}
+    elif command == "oracle":
+        extra = {"--max-m": st.sampled_from(["3", "10"]), "--l-max": st.sampled_from(["1", "2", "5"])}
+    else:
+        extra = {}
+    extra["--format"] = fmt
+    return st.fixed_dictionaries({}, optional=extra)
+
+
+def _argv_flags(flags):
+    argv = []
+    for name, value in flags.items():
+        argv += [name] if value is None else [name, value]
+    return argv
+
+
+@st.composite
+def codebook_texts(draw):
+    """A canonical codebook of a random code, maybe broken by a duplicate
+    symbol, a gap, a flipped bit, an extra row or garbage; or random rows."""
+    if draw(st.booleans()):
+        rows = [
+            f"{draw(st.integers(0, 6))}\t{draw(st.text('01', max_size=5))}"
+            for _ in range(draw(st.integers(0, 5)))
+        ]
+        return "\n".join(rows) + "\n"
+    weights = np.array(draw(st.lists(st.integers(1, 20), min_size=2, max_size=7)), dtype=float)
+    rows = codebook_text(canonical_tree(ghc(weights)[0])).splitlines()
+    fault = draw(st.sampled_from(["none", "duplicate", "gap", "flip", "extra", "garbage"]))
+    i = draw(st.integers(0, len(rows) - 1))
+    sym, bits = rows[i].split("\t")
+    if fault == "duplicate":
+        rows.append(f"{sym}\t{bits[::-1] or '0'}")
+    elif fault == "gap":
+        del rows[i]
+    elif fault == "flip" and bits:
+        rows[i] = f"{sym}\t{bits[:-1]}{'1' if bits[-1] == '0' else '0'}"
+    elif fault == "extra":
+        rows.append(f"{len(rows) + 3}\t{bits}1")
+    elif fault == "garbage":
+        rows[i] = draw(st.sampled_from(["x\t0", "1 0", "-1\t0", "2\t0a", "\t"]))
+    return "\n".join(rows) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_spec_commands_exit_cleanly(workdir, data):
+    command, text, non_number = data.draw(spec_docs())
+    path = workdir / "spec.json"
+    path.write_text(text)
+    flags = data.draw(_flags(command))
+    code, out, err = run_main([command, str(path)] + _argv_flags(flags))
+    check_outcome(code, out, err, flags.get("--format", "json"))
+    if non_number:
+        assert code == 1, (text, err)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    text=codebook_texts(),
+    symbols=st.sampled_from(["0", "1", "7", "50", "-1", "x"]),
+    seed=st.sampled_from(["0", "7", "-3", str(2**70), "y"]),
+    dematch=st.lists(st.integers(-1, 8), max_size=6),
+    fmt=st.sampled_from(["json", "csv", "yaml"]),
+)
+def test_codebook_commands_exit_cleanly(workdir, text, symbols, seed, dematch, fmt):
+    path = workdir / "cb.tsv"
+    path.write_text(text)
+    argv = ["match", str(path), "--symbols", symbols, "--seed", seed, "--format", fmt]
+    check_outcome(*run_main(argv), fmt)
+    argv = ["dematch", str(path), "--symbols", ",".join(map(str, dematch)), "--format", fmt]
+    check_outcome(*run_main(argv), fmt)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    weights=st.lists(st.integers(1, 5), min_size=2, max_size=5),
+    base=st.sampled_from([2, 3, 10, 1.5]),
+    flags=st.sampled_from([["--lec"], ["--block", "2"]]),
+)
+def test_small_integer_dncs_succeed(workdir, weights, base, flags):
+    path = workdir / "dnc.json"
+    path.write_text(json.dumps({"type": "dnc", "weights": weights, "base": base}))
+    code, out, err = run_main(["dnc", str(path)] + flags)
+    assert code == 0, err
+    check_outcome(code, out, err)

@@ -178,6 +178,12 @@ class TestEntropyPerWeight:
         with pytest.raises(DimensionMismatchError):
             entropy_per_weight(Pmf(np.array([0.5, 0.5])), W123)
 
+    def test_plain_array_same_as_pmf(self):
+        p = np.array([0.5, 0.25, 0.25])
+        assert entropy_per_weight(p, W123) == entropy_per_weight(Pmf(p), W123)
+        with pytest.raises(DimensionMismatchError):
+            entropy_per_weight(np.array([0.5, 0.5]), W123)
+
 
 class TestWeightedTarget:
     def test_full_tilt_is_p_star(self):
@@ -274,6 +280,24 @@ class TestLec:
         res = lec(spec)
         assert _one_more_step_rate(spec, res) <= res.rate * (1.0 + 1e-12)
 
+    def test_result_carries_its_solve(self):
+        for spec in (W12, W123, DncSpec(np.array([1.0, 1.0]), 3.0)):
+            res = lec(spec)
+            cap = dnc_capacity(spec)
+            assert res.solved.C == cap.C
+            assert res.solved.root_residual == cap.root_residual
+            assert np.array_equal(res.solved.p_star.probs, cap.p_star.probs)
+            assert res.R == res.rate / res.solved.C
+
+    def test_dyadic_p_star_may_end_above_one(self):
+        # p* = (1/2, 1/2) in base 3 rounds to a rate a hair above C; the
+        # result still carries its tilt p*^R without a guard on R
+        res = lec(DncSpec(np.array([1.0, 1.0]), 3.0))
+        assert res.lengths.lengths == (1, 1)
+        assert res.R == pytest.approx(1.0, abs=1e-15)
+        p = DyadicPmf.from_code(res.lengths).probs
+        assert kl_divergence(p, np.power(res.solved.p_star.probs, res.R)) == pytest.approx(0.0, abs=1e-15)
+
     @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0])
     def test_rejects_tolerance_not_finite_and_positive(self, tol):
         with pytest.raises(ValueError, match="finite and positive"):
@@ -357,6 +381,13 @@ class TestOptimizeBlockDnc:
         rates = [optimize_block_dnc(W12, k).rate for k in (1, 2, 4, 8)]
         assert all(b >= a - 1e-9 for a, b in zip(rates, rates[1:]))
         assert rates[-1] >= 0.68
+
+    def test_report_carries_its_solve(self):
+        rep = optimize_block_dnc(W123, 2)
+        cap = dnc_capacity(W123)
+        assert rep.solved.C == rep.capacity == cap.C
+        assert np.array_equal(rep.solved.p_star.probs, cap.p_star.probs)
+        assert rep.lower_bound == rep.solved.C - rep.kl_bits / 2.0
 
     def test_block_average_weight_marginals(self):
         # independent check of the marginal-based average weight at k = 2
