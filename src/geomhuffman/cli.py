@@ -45,6 +45,12 @@ def _fmt_float(x: float) -> str:
     return f"{x:.12g}"
 
 
+def _exact_ints(seq) -> bool:
+    """Whether every entry of seq is an exact int (not a bool or a numpy
+    integer), whose text is the same from str() as from the C encoder."""
+    return set(map(type, seq)) <= {int}
+
+
 def _json_value(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -55,6 +61,8 @@ def _json_value(value) -> str:
     if isinstance(value, str):
         return json.dumps(value)
     if isinstance(value, (list, tuple)):
+        if _exact_ints(value):
+            return json.dumps(value)
         return "[" + ", ".join(_json_value(v) for v in value) + "]"
     if isinstance(value, dict):
         items = (f"{json.dumps(k)}: {_json_value(v)}" for k, v in value.items())
@@ -64,6 +72,8 @@ def _json_value(value) -> str:
 
 def _flat_value(value) -> str:
     if isinstance(value, (list, tuple)):
+        if _exact_ints(value):
+            return ";".join(map(str, value))
         return ";".join(_flat_value(v) for v in value)
     if isinstance(value, (float, np.floating)):
         return "inf" if math.isinf(value) else f"{float(value):.12g}"
@@ -253,8 +263,7 @@ def _cmd_dnc(args):
     if args.lec:
         res = dnc_mod.lec(spec, tol=args.tol)
         cap = res.solved
-        # D from the tilt p*^R at the returned R, which rounding may put above 1
-        tilted = np.power(cap.p_star.probs, res.R)
+        tilted = dnc_mod.weighted_target(cap.p_star, res.R)
         d = kl_divergence(dyadic.DyadicPmf.from_code(res.lengths).probs, tilted)
         entries = {"R": res.R, "rate": res.rate, "iterations": res.iterations,
                    **_code_entries(res.lengths, d)}
@@ -312,16 +321,29 @@ def _parse_symbol_list(args) -> list:
     if args.symbols is not None and args.symbols_file is not None:
         raise _UsageError("give either --symbols or --symbols-file, not both")
     if args.symbols is not None:
-        text = args.symbols
+        source, text = "--symbols", args.symbols
     elif args.symbols_file is not None:
-        text = _read_file(args.symbols_file).decode("ascii")
+        source = args.symbols_file
+        try:
+            text = _read_file(source).decode("ascii")
+        except UnicodeDecodeError as exc:
+            raise SpecFileError(f"{source}: {exc}") from None
     else:
         raise _UsageError("dematch needs --symbols or --symbols-file")
-    items = [tok for tok in text.replace(",", " ").split() if tok]
+    tokens = text.replace(",", " ").split()
     try:
-        return [int(tok) for tok in items]
+        return list(map(int, tokens))
     except ValueError:
-        raise SpecFileError(f"symbol list contains a non-integer token") from None
+        bad = next(tok for tok in tokens if not _is_int(tok))
+        raise SpecFileError(f"{source}: non-integer symbol {bad!r}") from None
+
+
+def _is_int(token: str) -> bool:
+    try:
+        int(token)
+    except ValueError:
+        return False
+    return True
 
 
 def _cmd_dematch(args):

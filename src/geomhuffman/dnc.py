@@ -22,6 +22,7 @@ from .pmf import PRODUCT_CAP, Pmf, _coordinate_sum, as_weights, entropy, product
 ROOT_RESIDUAL_TOL = 1e-12
 NEWTON_STEPS = 60
 NEWTON_STEP_TOL = 2.0**-30  # relative step at which Newton on ln f has converged
+R_TOL = 1e-12  # lec's |dR| stop, and how far rounding may put its R = rate / C above 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -278,8 +279,9 @@ def entropy_per_weight(p, spec: DncSpec) -> float:
 
 def weighted_target(p_star: Pmf, R: float) -> np.ndarray:
     """Elementwise p*_i ** R, the (unnormalized) target tilted by the
-    achievable capacity fraction R."""
-    if not 0.0 <= R <= 1.0:
+    achievable capacity fraction R.  R may exceed 1 by up to R_TOL, as the
+    R that ``lec`` returns on a dyadic p* does through rounding."""
+    if not 0.0 <= R <= 1.0 + R_TOL:
         raise ValueError("R must lie in [0, 1]")
     return np.power(p_star.probs, R)
 
@@ -300,17 +302,16 @@ def lec(spec: DncSpec, tol: float = 1e-12, max_iter: int = 1000) -> LecResult:
     capacity = dnc_capacity(spec)
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError("tol must be finite and positive")
-    pstar = capacity.p_star.probs
 
     R = 1.0
     last: "LecResult | None" = None
     for iteration in range(1, max_iter + 1):
-        code, div = ghc(np.power(pstar, R))
+        code, div = ghc(weighted_target(capacity.p_star, R))
         # the code's dyadic PMF, whose lengths CodeLengths has already checked
         rate = entropy_per_weight(np.exp2(-np.array(code.lengths, dtype=np.float64)), spec)
         r_new = rate / capacity.C
         last = LecResult(R=r_new, lengths=code, rate=rate, iterations=iteration, solved=capacity)
-        if abs(div) <= tol or abs(r_new - R) <= 1e-12:
+        if abs(div) <= tol or abs(r_new - R) <= R_TOL:
             return last
         R = r_new
     raise ConvergenceError(

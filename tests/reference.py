@@ -11,16 +11,18 @@ iteration, the brute-force oracle as it was before its scan was shared
 with ``brute_force_optima``, and the matcher as it was before its two
 per-bit walks became one: a buffered bit source, a ``simulate`` that only
 counted symbols, and the symbol list the CLI recovered by regenerating the
-bits and parsing them again with ``modulate``.  The property tests compare
-the package against them: same lengths (tie-breaks included), same
-divergences, same reduced Kraft sums or errors, bit-identical capacities,
-capacity-achieving PMFs and LEC fixed points, the same bits, symbols and
-counts.
+bits and parsing them again with ``modulate``, and the CLI's report
+serializer as it was before lists of exact ints went through one C-level
+call.  The property tests compare the package against them: same lengths
+(tie-breaks included), same divergences, same reduced Kraft sums or errors,
+bit-identical capacities, capacity-achieving PMFs and LEC fixed points, the
+same bits, symbols and counts, and the same report bytes.
 """
 
 from __future__ import annotations
 
 import heapq
+import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -544,3 +546,42 @@ def replayed_symbols(tree, seed: int, bits_consumed: int) -> list:
     symbols, consumed = modulate(tree, BitSource(seed).take(bits_consumed))
     assert consumed == bits_consumed
     return symbols
+
+
+def _fmt_float(x: float) -> str:
+    if math.isinf(x):
+        return '"inf"'
+    return f"{x:.12g}"
+
+
+def _json_value(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return _fmt_float(float(value))
+    if isinstance(value, str):
+        return json.dumps(value)
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(_json_value(v) for v in value) + "]"
+    if isinstance(value, dict):
+        items = (f"{json.dumps(k)}: {_json_value(v)}" for k, v in value.items())
+        return "{" + ", ".join(items) + "}"
+    raise TypeError(f"cannot serialize {type(value)!r}")
+
+
+def _flat_value(value) -> str:
+    if isinstance(value, (list, tuple)):
+        return ";".join(_flat_value(v) for v in value)
+    if isinstance(value, (float, np.floating)):
+        return "inf" if math.isinf(value) else f"{float(value):.12g}"
+    return str(value)
+
+
+def emit_report(report: dict, fmt: str) -> str:
+    """``cli.emit_report`` over the element-by-element serializer; fmt is
+    'json' or 'csv'."""
+    if fmt == "json":
+        return _json_value(report)
+    return "\n".join(f"{key},{_flat_value(value)}" for key, value in report.items())

@@ -213,8 +213,8 @@ class TestSubcommands:
         "w, b", [((1, 1), 3), ((1, 2, 2), 10), ((5, 5, 5, 5), 1.5)]
     )
     def test_dnc_lec_on_a_dyadic_p_star(self, capsys, tmp_path, w, b):
-        # lec returns R = 1 + 2**-52 here; the divergence is taken against
-        # p*^R all the same instead of failing the [0, 1] guard on R
+        # lec returns R = 1 + 2**-52 here, which weighted_target takes as
+        # rounding: the divergence is against p*^R, not an exit 1
         path = tmp_path / "w.json"
         path.write_text(json.dumps({"type": "dnc", "weights": list(w), "base": b}))
         code, out, err = run(capsys, "dnc", str(path), "--lec")
@@ -254,6 +254,30 @@ class TestSubcommands:
         run(capsys, "ghc", specs["pmf"], "--codebook", str(codebook))
         code, _, err = run(capsys, "dematch", str(codebook), "--symbols", "0,4")
         assert code == 1
+
+    def test_dematch_non_ascii_symbols_file_names_the_file(self, capsys, specs, tmp_path):
+        codebook = tmp_path / "cb.tsv"
+        run(capsys, "ghc", specs["pmf"], "--codebook", str(codebook))
+        path = tmp_path / "symbols.txt"
+        path.write_bytes(b"0 1 \xc3\xa9\n")
+        code, out, err = run(capsys, "dematch", str(codebook), "--symbols-file", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {path}: 'ascii' codec can't decode byte 0xc3")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("source", ["--symbols", "--symbols-file"])
+    def test_dematch_non_integer_token_is_named(self, capsys, specs, tmp_path, source):
+        codebook = tmp_path / "cb.tsv"
+        run(capsys, "ghc", specs["pmf"], "--codebook", str(codebook))
+        value = "0, 1 2.5 x7"
+        if source == "--symbols-file":
+            path = tmp_path / "symbols.txt"
+            path.write_text(value)
+            value = str(path)
+        code, out, err = run(capsys, "dematch", str(codebook), source, value)
+        assert code == 1 and out == ""
+        named = "--symbols" if source == "--symbols" else value
+        assert err == f"error: {named}: non-integer symbol '2.5'\n"
 
     def test_unknown_format_flag_is_input_error(self, capsys, specs):
         code, _, err = run(capsys, "ghc", specs["pmf"], "--format", "yaml")
@@ -396,3 +420,18 @@ class TestDeterminism:
         _, out1, _ = run(capsys, cmd, specs[spec_key])
         _, out2, _ = run(capsys, cmd, specs[spec_key])
         assert out1 == out2
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize(
+        "cmd, flags",
+        [
+            ("match", ("--symbols", "5000", "--seed", "3")),
+            ("dematch", ("--symbols", "0,1,2,3,3,0")),
+        ],
+    )
+    def test_byte_identical_stream_stdout(self, capsys, specs, tmp_path, cmd, flags, fmt):
+        codebook = tmp_path / "cb.tsv"
+        run(capsys, "ghc", specs["pmf"], "--codebook", str(codebook))
+        _, out1, _ = run(capsys, cmd, str(codebook), *flags, "--format", fmt)
+        _, out2, _ = run(capsys, cmd, str(codebook), *flags, "--format", fmt)
+        assert out1 and out1 == out2

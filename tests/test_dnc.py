@@ -204,6 +204,21 @@ class TestWeightedTarget:
         with pytest.raises(ValueError):
             weighted_target(cap.p_star, 1.5)
 
+    @pytest.mark.parametrize("R", [-0.1, 1.0 + 1e-9])
+    def test_rejects_more_than_rounding_past_the_ends(self, R):
+        with pytest.raises(ValueError, match=r"R must lie in \[0, 1\]"):
+            weighted_target(dnc_capacity(W12).p_star, R)
+
+    @pytest.mark.parametrize(
+        "w, b", [((1, 1), 3), ((1, 2, 2), 10), ((5, 5, 5, 5), 1.5)]
+    )
+    def test_accepts_lec_r_rounded_above_one(self, w, b):
+        # p* is dyadic here, and lec's rate / C rounds to 1 + 2**-52
+        res = lec(DncSpec(np.array(w, dtype=np.float64), b))
+        assert 1.0 < res.R <= 1.0 + 1e-15
+        got = weighted_target(res.solved.p_star, res.R)
+        assert np.array_equal(got, np.power(res.solved.p_star.probs, res.R))
+
 
 class TestLec:
     def test_equal_weights_converges_immediately(self):

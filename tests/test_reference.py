@@ -2,7 +2,8 @@
 loop, the shared oracle scan, the one-pass matcher and the Newton-guided
 DNC capacity and lean LEC step against the heap builders, per-element fold,
 per-iteration validating loop, separate oracle, buffered two-pass matcher,
-plain capacity bisection and LEC they replaced (``reference.py``)."""
+plain capacity bisection and LEC they replaced, and the report serializer
+against the element-by-element one (``reference.py``)."""
 
 import math
 from unittest import mock
@@ -33,6 +34,7 @@ from geomhuffman import (
     simulate,
 )
 from geomhuffman import dnc
+from geomhuffman.cli import emit_report
 from geomhuffman.errors import ConvergenceError, GuardExceededError
 
 # exact ties, zeros, powers of two and pairs exactly 4x apart (the GHC drop
@@ -498,3 +500,47 @@ class TestMatcherMatchesReference:
         word = tree.codewords[data.draw(st.sampled_from(kept))]
         tail = word[: data.draw(st.integers(0, len(word) - 1))]
         assert modulate(tree, bits + tail) == (symbols, len(bits))
+
+
+# report values: ints of every size (exact, bool and numpy), floats with
+# their infinities, strings that need escaping, and lists, tuples and dicts
+# of them, with all-int sequences (the C-encoded case) drawn often
+_ints = st.one_of(
+    st.integers(-5, 300),
+    st.integers(),
+    st.integers(2**64, 2**80),
+    st.integers(-(2**80), -(2**64)),
+)
+_leaves = st.one_of(
+    _ints,
+    st.booleans(),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.floats(),
+    st.floats().map(np.float64),
+    st.sampled_from([math.inf, -math.inf, "inf"]),
+    st.text(),
+)
+_int_seqs = st.one_of(st.lists(_ints), st.lists(_ints).map(tuple))
+_values = st.recursive(
+    st.one_of(_leaves, _int_seqs),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=6),
+        st.lists(inner, max_size=6).map(tuple),
+        st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    ),
+    max_leaves=20,
+)
+_reports = st.dictionaries(st.text(max_size=8), _values, max_size=6)
+
+
+class TestEmitReportMatchesReference:
+    @settings(max_examples=200, deadline=None)
+    @given(_reports)
+    @example({"symbols": (0, 2, 0, 0, 3), "counts": (3, 0, 1, 1), "empty": [], "none": ()})
+    @example({"lengths": [1, 2, "inf"], "flags": [True, 1], "bools": (False, True)})
+    @example({"big": [-1, 0, 2**64, -(2**70)], "numpy": [np.int64(-3), 4, np.float64(0.5)]})
+    @example({"floats": [math.inf, -math.inf, 0.1, -0.0], "text": ['a"\\\n\u00e9', "", "x,y;z"]})
+    @example({"nested": {"a": [1, (2, 3)], "b": {"c": ()}, "d": [[], [np.int64(1)]]}})
+    def test_same_bytes(self, report):
+        for fmt in ("json", "csv"):
+            assert emit_report(report, fmt) == reference.emit_report(report, fmt)
