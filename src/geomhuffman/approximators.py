@@ -15,8 +15,21 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dyadic import INF, CodeLengths, DyadicPmf
+from .dyadic import INF, CodeLengths
 from .pmf import Pmf, _checked_weights, kl_divergence
+
+# from this many sorted leaves up, ghc and huffman build in batched rounds;
+# below it the scalar loop is faster (on Dirichlet weights, one Xeon core,
+# the whole ghc call breaks even between 1024 and 2048 leaves)
+BATCH_MIN_LEAVES = 2048
+# from this many symbols up, _code_and_divergence scatters the depths into
+# symbol order with numpy; below it a loop is faster (the two break even
+# near 512 symbols when the depths are a list, as gcc and the scalar loop
+# give them, and the batched rounds' object arrays all lie above it)
+_SCATTER_MIN_SYMBOLS = 512
+# a batched round needs this many more nodes than a and b, in the leaves or
+# in the queue, above its key bound; a smaller one is a scalar step
+_BATCH_RUN = 16
 
 
 def _two_queue_depths(keys: list, ties: list, merge, drop=None) -> list:
@@ -95,14 +108,137 @@ def _two_queue_depths(keys: list, ties: list, merge, drop=None) -> list:
     return depth
 
 
-def _code_and_divergence(order: np.ndarray, depths: list, arr: np.ndarray) -> tuple:
+def _batched_depths(keys: np.ndarray, ties: np.ndarray, merge, drop=None) -> np.ndarray:
+    """:func:`_two_queue_depths` replayed in rounds of numpy steps, with the
+    same depths (an object array of Python ints, inf for dropped leaves).
+
+    A round pops the first two pending nodes a and b.  When the drop rule
+    holds, a goes, as in one scalar step.  Otherwise their parent's key
+    kc = merge(ka, kb) bounds every key the round creates, since merged keys
+    never grow, so every pending node keyed above kc pops before any of
+    them.  Those nodes, a prefix of the leaves and one of the queue, are
+    put in pop order and paired off in that order; an odd last node stays
+    pending.  No pair among them meets GHC's drop rule, since they lie in
+    (kc, ka], a span below 2.  The parents join the queue, whose run of
+    keys equal to the first new one is then put in tie order, as the
+    scalar insert keeps it.  Depths come from one reverse pass over the
+    rounds.
+
+    A round is batched only when the leaves or the queue hold more than
+    _BATCH_RUN nodes above kc besides a and b, so a and b lie above kc
+    too; a smaller round would not pay for its numpy calls and merges a
+    and b alone, as one scalar step.  So does every round where kc ties
+    b's key, as zero Huffman weights give.
+    """
+    n = keys.size
+    # sentinels, as in the scalar loop, past the leaves and in the queue's
+    # free slots, far enough for the look ahead by _BATCH_RUN
+    pad = _BATCH_RUN + 1
+    keys = np.concatenate((keys, np.full(pad, -INF)))
+    ties = np.concatenate((ties, np.full(pad, -1, ties.dtype)))
+    neg = -keys  # ascending, for searchsorted; so is qneg over the queue
+    qkey, qneg = np.full(n + pad, -INF), np.empty(n + pad)
+    qtie, qnode = np.full(n + pad, -1), np.empty(n + pad, np.int64)
+    # the scalar steps read and write through memoryviews, as Python numbers
+    lk, lt, qk, qnegv, qt, qn = map(memoryview, (keys, ties, qkey, qneg, qtie, qnode))
+    rounds = []  # (first parent id, children in pair order)
+    i = j = tail = 0
+    c = n
+    while n - i + tail - j > 1:
+        i0, j0 = i, j
+        if qk[j] > lk[i] or (qk[j] == lk[i] and qt[j] > lt[i]):
+            a, ka, ta = qn[j], qk[j], qt[j]
+            j += 1
+        else:
+            a, ka, ta = i, lk[i], lt[i]
+            i += 1
+        if qk[j] > lk[i] or (qk[j] == lk[i] and qt[j] > lt[i]):
+            b, kb, tb = qn[j], qk[j], qt[j]
+            j += 1
+        else:
+            b, kb, tb = i, lk[i], lt[i]
+            i += 1
+        if drop is not None and drop(ka, kb):
+            i, j = (i0, j0 + 1) if a >= n else (i0 + 1, j0)  # b stays
+            continue
+        kc = merge(ka, kb)
+        if lk[i + _BATCH_RUN] <= kc and qk[j + _BATCH_RUN] <= kc:
+            tc = ta if ta < tb else tb
+            rounds.append((c, (a, b)))
+            unordered = j < tail and qk[tail - 1] == kc and qt[tail - 1] < tc
+            qk[tail], qnegv[tail], qt[tail], qn[tail] = kc, -kc, tc, c
+            pairs = 1
+        else:
+            i, j = i0, j0
+            nl = int(np.searchsorted(neg, -kc)) - i
+            nq = int(np.searchsorted(qneg[:tail], -kc)) - j
+            sk = np.concatenate((keys[i:i + nl], qkey[j:j + nq]))
+            st = np.concatenate((ties[i:i + nl], qtie[j:j + nq]))
+            sn = np.concatenate((np.arange(i, i + nl), qnode[j:j + nq]))
+            if nl and nq:
+                pop = np.lexsort((st, sk))[::-1]  # key desc, then tie desc
+                sk, st, sn = sk[pop], st[pop], sn[pop]
+            pairs = sk.size // 2
+            kids = sn[:2 * pairs]
+            from_leaves = int(np.count_nonzero(kids < n))
+            i += from_leaves
+            j += 2 * pairs - from_leaves
+            rounds.append((c, kids))
+            new = slice(tail, tail + pairs)
+            qkey[new] = merge(sk[0:2 * pairs:2], sk[1:2 * pairs:2])
+            qneg[new] = -qkey[new]
+            qtie[new] = np.minimum(st[0:2 * pairs:2], st[1:2 * pairs:2])
+            qnode[new] = np.arange(c, c + pairs)
+            unordered = True
+        if unordered:
+            # put the queue's equal-key run at the tail in tie order, as
+            # one scalar insert after another would have kept it
+            start = max(j, int(np.searchsorted(qneg[:tail], qneg[tail])))
+            end = tail + pairs
+            rk, rt = qkey[start:end], qtie[start:end]
+            if np.any((rk[1:] == rk[:-1]) & (rt[1:] > rt[:-1])):
+                pop = np.lexsort((rt, rk))[::-1] + start
+                for arr in (qkey, qneg, qtie, qnode):
+                    arr[start:end] = arr[pop]
+        c += pairs
+        tail += pairs
+
+    # a dropped node keeps the start value -c; its subtree is fewer than c
+    # levels deep, so every leaf beneath it ends negative too
+    depth = np.full(c, -c, np.int64)
+    depth[qn[j] if j < tail else i] = 0
+    dv = memoryview(depth)
+    for first, kids in reversed(rounds):
+        if type(kids) is tuple:
+            dv[kids[0]] = dv[kids[1]] = dv[first] + 1
+        else:
+            depth[kids] = np.repeat(depth[first:first + kids.size // 2], 2) + 1
+    depths = depth[:n].astype(object)
+    depths[depth[:n] < 0] = INF
+    return depths
+
+
+def _tree_depths(keys: np.ndarray, ties: np.ndarray, merge, drop):
+    """Leaf depths of the two-queue build: the batched rounds from
+    BATCH_MIN_LEAVES leaves up, the scalar loop below."""
+    if keys.size >= BATCH_MIN_LEAVES:
+        return _batched_depths(keys, ties, merge, drop)
+    return _two_queue_depths(keys.tolist(), ties.tolist(), merge, drop)
+
+
+def _code_and_divergence(order: np.ndarray, depths, arr: np.ndarray) -> tuple:
     """CodeLengths in symbol order from the depths of the first len(depths)
     symbols of order (the others get inf), and D(p || arr)."""
-    lengths = [INF] * arr.size
-    for sym, depth in zip(order.tolist(), depths):
-        lengths[sym] = depth
-    code = CodeLengths(tuple(lengths))
-    return code, kl_divergence(DyadicPmf.from_code(code).probs, arr)
+    if arr.size < _SCATTER_MIN_SYMBOLS:
+        entries = [INF] * arr.size
+        for sym, depth in zip(order.tolist(), depths):
+            entries[sym] = depth
+    else:
+        scattered = np.full(arr.size, INF, dtype=object)
+        scattered[order[:len(depths)]] = depths
+        entries = scattered.tolist()
+    code = CodeLengths(tuple(entries))
+    return code, kl_divergence(np.exp2(-np.array(code.lengths, dtype=np.float64)), arr)
 
 
 def _ghc_merge(ua: float, ub: float) -> float:
@@ -132,9 +268,13 @@ def ghc(x) -> tuple:
     parent has u'' <= u_b - 1 <= u'.  After one sort the build is therefore
     linear, with merged nodes in a FIFO beside the sorted leaves (van
     Leeuwen's two-queue method); the whole run is O(m log m) for the sort
-    plus O(m).  Dropped nodes may be whole subtrees; every leaf beneath one
-    gets length inf.  Among equal u the lower original symbol index ends up
-    with the shorter (or equal) codeword, which keeps outputs deterministic.
+    plus O(m).  From BATCH_MIN_LEAVES kept symbols up, that build runs in
+    batched rounds, each pairing in a few numpy steps every pending node
+    that pops before the round's first parent could, with the same
+    lengths; below it the build is one scalar loop.  Dropped nodes may be
+    whole subtrees; every leaf beneath one gets length inf.  Among equal u
+    the lower original symbol index ends up with the shorter (or equal)
+    codeword, which keeps outputs deterministic.
 
     Returns (CodeLengths in original symbol order, divergence in bits).
     Zero-weight symbols always get length inf.
@@ -150,7 +290,7 @@ def ghc(x) -> tuple:
     # pop order: largest u first; among equal u the higher index pops
     # first (gets merged deeper), so the lower index wins
     order = perm[finite - 1::-1]
-    depths = _two_queue_depths(u[order].tolist(), order.tolist(), _ghc_merge, _ghc_drop)
+    depths = _tree_depths(u[order], order, _ghc_merge, _ghc_drop)
     return _code_and_divergence(order, depths, arr)
 
 
@@ -159,7 +299,8 @@ def huffman(x) -> tuple:
     smallest weights into their sum.  No symbol is dropped.
 
     The build shares :func:`ghc`'s two-queue builder, keyed on -x so that
-    the smallest weight pops first.
+    the smallest weight pops first, and its choice between the scalar loop
+    and the batched rounds by the number of symbols.
 
     The reported divergence is D(p || x) for the induced dyadic p, for
     comparison with :func:`ghc`; it is not the quantity Huffman coding
@@ -170,7 +311,7 @@ def huffman(x) -> tuple:
         raise ValueError("Huffman coding needs at least 2 positive weights")
     # pop order: smallest weight first, among equal weights the higher index
     order = (arr.size - 1) - np.argsort(arr[::-1], kind="stable")
-    depths = _two_queue_depths((-arr[order]).tolist(), order.tolist(), _huffman_merge)
+    depths = _tree_depths(-arr[order], order, _huffman_merge, None)
     return _code_and_divergence(order, depths, arr)
 
 

@@ -331,19 +331,20 @@ def _parse_symbol_list(args) -> list:
     else:
         raise _UsageError("dematch needs --symbols or --symbols-file")
     tokens = text.replace(",", " ").split()
+    # indices are ASCII decimal digits only: int() would also take signs,
+    # underscores and other scripts' digits
+    digits = "".join(tokens)
+    if tokens and not (digits.isascii() and digits.isdigit()):
+        bad = next(tok for tok in tokens if not (tok.isascii() and tok.isdigit()))
+        raise SpecFileError(f"{source}: symbol {bad!r} is not a decimal index")
     try:
         return list(map(int, tokens))
     except ValueError:
-        bad = next(tok for tok in tokens if not _is_int(tok))
-        raise SpecFileError(f"{source}: non-integer symbol {bad!r}") from None
-
-
-def _is_int(token: str) -> bool:
-    try:
-        int(token)
-    except ValueError:
-        return False
-    return True
+        # int() refuses digit strings longer than sys.get_int_max_str_digits()
+        bad = max(tokens, key=len)
+        raise SpecFileError(
+            f"{source}: symbol '{bad[:20]}...' of {len(bad)} digits is out of range"
+        ) from None
 
 
 def _cmd_dematch(args):

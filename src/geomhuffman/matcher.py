@@ -131,11 +131,18 @@ def modulate(tree: CodeTree, bits) -> tuple:
 
 
 def demodulate(tree: CodeTree, symbols) -> str:
-    """Concatenated codewords of a symbol sequence, as a '0'/'1' string."""
+    """Concatenated codewords of a symbol sequence, as a '0'/'1' string.
+
+    Symbols are Python or numpy integers; anything else, bools included,
+    raises ValueError rather than being rounded or parsed.
+    """
     words = tree.codewords
     out = []
     for s in symbols:
-        s = int(s)
+        if type(s) is not int:
+            if isinstance(s, bool) or not isinstance(s, (int, np.integer)):
+                raise ValueError(f"symbol {s!r} is not an integer")
+            s = int(s)
         if s < 0 or s >= len(words):
             raise ValueError(f"symbol index {s} out of range")
         if words[s] is None:

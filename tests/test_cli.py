@@ -277,7 +277,22 @@ class TestSubcommands:
         code, out, err = run(capsys, "dematch", str(codebook), source, value)
         assert code == 1 and out == ""
         named = "--symbols" if source == "--symbols" else value
-        assert err == f"error: {named}: non-integer symbol '2.5'\n"
+        assert err == f"error: {named}: symbol '2.5' is not a decimal index\n"
+
+    @pytest.mark.parametrize("source", ["--symbols", "--symbols-file"])
+    def test_dematch_over_long_token_is_named(self, capsys, specs, tmp_path, source):
+        # 5000 digits are more than int() reads from a string by default
+        codebook = tmp_path / "cb.tsv"
+        run(capsys, "ghc", specs["pmf"], "--codebook", str(codebook))
+        value = "0 " + "1" * 5000 + " 1"
+        if source == "--symbols-file":
+            path = tmp_path / "symbols.txt"
+            path.write_text(value)
+            value = str(path)
+        code, out, err = run(capsys, "dematch", str(codebook), source, value)
+        assert code == 1 and out == ""
+        named = "--symbols" if source == "--symbols" else value
+        assert err == f"error: {named}: symbol '{'1' * 20}...' of 5000 digits is out of range\n"
 
     def test_unknown_format_flag_is_input_error(self, capsys, specs):
         code, _, err = run(capsys, "ghc", specs["pmf"], "--format", "yaml")

@@ -13,6 +13,7 @@ a second or so.
 import contextlib
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -188,3 +189,42 @@ def test_small_integer_dncs_succeed(workdir, weights, base, flags):
     code, out, err = run_main(["dnc", str(path)] + flags)
     assert code == 0, err
     check_outcome(code, out, err)
+
+
+# tokens int() reads as integers, though they are not plain decimal
+# indices: signs, underscores, other scripts' digits and padded digits
+NON_DECIMAL = ["+1", "-0", "-1", "0_0", "1_0", "\u0663", "\uff13", "\u00b2", "1.0", "1e0", "0x1", "0b1"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    tokens=st.lists(
+        st.one_of(
+            st.sampled_from(["0", "1", "2", "00", "02", "3", "10"]),
+            st.sampled_from(NON_DECIMAL),
+            st.text(max_size=3),
+        ),
+        max_size=6,
+    ),
+    source=st.sampled_from(["--symbols", "--symbols-file"]),
+)
+def test_dematch_takes_decimal_digits_only(workdir, tokens, source):
+    codebook = workdir / "cb3.tsv"
+    codebook.write_text(codebook_text(canonical_tree(ghc(np.array([2.0, 1.0, 1.0]))[0])))
+    text = ",".join(tokens)
+    value = text
+    if source == "--symbols-file":
+        if not text.isascii():
+            return  # a symbols file is ASCII; non-ASCII bytes are a decode error
+        value = str(workdir / "symbols.txt")
+        (workdir / "symbols.txt").write_text(text)
+    code, out, err = run_main(["dematch", str(codebook), f"{source}={value}"])
+    check_outcome(code, out, err)
+    split = text.replace(",", " ").split()
+    bad = [tok for tok in split if not re.fullmatch("[0-9]+", tok)]
+    if bad:
+        assert code == 1
+        named = value if source == "--symbols-file" else source
+        assert err == f"error: {named}: symbol {bad[0]!r} is not a decimal index\n"
+    else:
+        assert code == (0 if all(int(tok) <= 2 for tok in split) else 1), err

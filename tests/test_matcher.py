@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,18 @@ class TestDemodulate:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="range"):
             demodulate(TREE_122, [3])
+
+    def test_numpy_integers_accepted(self):
+        symbols = [np.int64(0), np.uint8(1), np.int32(2)]
+        assert demodulate(TREE_122, symbols) == "01011"
+        assert demodulate(TREE_122, np.array([2, 0])) == "110"
+
+    @pytest.mark.parametrize(
+        "entry", [1.5, 1.0, True, np.True_, "1", np.float64(1.0), None, 1 + 0j]
+    )
+    def test_non_integers_rejected(self, entry):
+        with pytest.raises(ValueError, match=re.escape(f"symbol {entry!r} is not an integer")):
+            demodulate(TREE_122, [0, entry, 2.5])
 
     def test_round_trip_random_sequences(self):
         rng = np.random.default_rng(51)

@@ -3,7 +3,8 @@ loop, the shared oracle scan, the one-pass matcher and the Newton-guided
 DNC capacity and lean LEC step against the heap builders, per-element fold,
 per-iteration validating loop, separate oracle, buffered two-pass matcher,
 plain capacity bisection and LEC they replaced, and the report serializer
-against the element-by-element one (``reference.py``)."""
+against the element-by-element one (``reference.py``); and the batched
+rounds of the two-queue builder against its scalar loop."""
 
 import math
 from unittest import mock
@@ -33,7 +34,7 @@ from geomhuffman import (
     product_pmf,
     simulate,
 )
-from geomhuffman import dnc
+from geomhuffman import approximators, dnc
 from geomhuffman.cli import emit_report
 from geomhuffman.errors import ConvergenceError, GuardExceededError
 
@@ -62,6 +63,26 @@ _ROUNDED_TIES = [
                  1.0000000000000004, 2.0000000000000013]),
 ]
 _scales = st.sampled_from([1.0, 2.0**-40, 2.0**30, 0.1, 3.0])
+
+
+def _above_cutoff(name):
+    """Named inputs that ghc and huffman build in batched rounds."""
+    rng = np.random.default_rng(29)
+    if name == "zero weights":
+        # Huffman merges the zeros first, into a chain one leaf deeper per
+        # zero; 600 keep it under the length cap
+        x = rng.dirichlet(np.ones(3000))
+        x[rng.choice(x.size, 600, replace=False)] = 0.0
+        return x
+    if name == "4x apart":
+        # every weight has partners exactly 4 and 16 times it: u_b == u_a - 2
+        base = rng.uniform(1.0, 2.0, 700)
+        return np.concatenate([base, 4.0 * base, 16.0 * base, 0.25 * base[:400], 4.0 * base[:300]])
+    if name == "dyadic ties":
+        return 2.0 ** -rng.integers(0, 24, 5000).astype(np.float64)
+    if name == "3^11 product":
+        return product_pmf(Pmf(np.array([0.6, 0.3, 0.1])), 11).probs
+    raise KeyError(name)
 
 
 def _same(got, want):
@@ -129,6 +150,54 @@ class TestBuilderMatchesHeap:
         _same(ghc(x), reference.ghc(x))
         _same(huffman(x), reference.huffman(x))
         assert set(ghc(x)[0].lengths) == {12}
+
+    @pytest.mark.parametrize("name", ["zero weights", "4x apart", "dyadic ties", "3^11 product"])
+    def test_above_batch_cutoff(self, name):
+        x = _above_cutoff(name)
+        batched = approximators._batched_depths
+        with mock.patch.object(approximators, "_batched_depths", wraps=batched) as spy:
+            _same(ghc(x), reference.ghc(x))
+            _same(huffman(x), reference.huffman(x))
+        assert spy.call_count == 2
+
+
+def _both_builds(keys, ties, merge, drop):
+    """The scalar two-queue depths, after checking that the batched rounds,
+    called on the same keys whatever their number, give the same ones; with
+    a run of 0, every round that has a third node above its key bound is
+    batched, so small inputs take the numpy steps too."""
+    want = approximators._two_queue_depths(keys.tolist(), ties.tolist(), merge, drop)
+    for run in (0, approximators._BATCH_RUN):
+        with mock.patch.object(approximators, "_BATCH_RUN", run):
+            got = approximators._batched_depths(keys, ties, merge, drop)
+        assert got.tolist() == want
+        assert list(map(type, got.tolist())) == list(map(type, want))
+    return want
+
+
+class TestBatchedRoundsMatchScalar:
+    @settings(max_examples=400, deadline=None)
+    @given(_weights, _scales)
+    def test_ghc(self, xs, scale):
+        x = np.array(xs) * scale
+        if not np.any(x > 0.0):
+            return
+        with mock.patch.object(approximators, "_tree_depths", _both_builds):
+            ghc(x)
+
+    @settings(max_examples=400, deadline=None)
+    @given(_weights, _scales)
+    def test_huffman(self, xs, scale):
+        x = np.array(xs) * scale
+        if int((x > 0.0).sum()) < 2:
+            return
+        with mock.patch.object(approximators, "_tree_depths", _both_builds):
+            huffman(x)
+
+    @pytest.mark.parametrize("name, xs", _ROUNDED_TIES)
+    def test_rounded_key_ties(self, name, xs):
+        with mock.patch.object(approximators, "_tree_depths", _both_builds):
+            {"ghc": ghc, "huffman": huffman}[name](np.array(xs))
 
 
 _length_entries = st.one_of(
