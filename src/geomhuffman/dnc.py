@@ -10,6 +10,7 @@ capacity-achieving PMF.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,13 +22,13 @@ from .pmf import PRODUCT_CAP, Pmf, _coordinate_sum, as_weights, entropy, product
 
 ROOT_RESIDUAL_TOL = 1e-12
 NEWTON_STEPS = 60
-NEWTON_STEP_TOL = 2.0**-30  # relative step at which Newton on ln f has converged
+NEWTON_STEP_TOL = 2.0**-30  # relative step at which Newton on the residual has converged
 R_TOL = 1e-12  # lec's |dR| stop, and how far rounding may put its R = rate / C above 1
 
 
 @dataclass(frozen=True, eq=False)
 class DncSpec:
-    """Positive symbol weights and the logarithm base of the capacity units."""
+    """Positive symbol weights, and a log base b > 1 that C in bits ignores."""
 
     w: np.ndarray
     b: float = 2.0
@@ -86,178 +87,105 @@ class BlockDncReport:
     solved: DncCapacity
 
 
-def _newton_guess(w_scaled: np.ndarray, ln_b: float) -> tuple:
-    """Newton's estimate of the root of ln f, and the margin around it
-    outside which float f cannot fall on the other side of 1.
+_LN2 = math.log(2.0)
+_F64, _I64 = struct.Struct("<d"), struct.Struct("<q")
+_INF_BITS = 0x7FF0000000000000  # the bit pattern of inf; that of 0.0 is 0
 
-    ln f is convex and decreasing, so Newton from s = 0 climbs towards the
-    root from the left.  The margin is (m+2) rounding errors of f, over the
-    slope |f'|, with a factor 64 to spare, plus 8 ulp of the root for the
-    rounding of the exponents.  Newton that leaves the finite positive
-    floats, or has not converged after NEWTON_STEPS steps, gives a nan
-    estimate, which rules on no step.
+
+def _log_residual(s: float, w_min: float, w_rest: np.ndarray) -> tuple:
+    """r(s) = log2(sum_rest 2**(-s w_i)) - log2(1 - 2**(-s w_min)), and dr/ds.
+
+    r falls from +inf at s = 0 to -inf, is convex, and is 0 where
+    sum_i 2**(-s w_i) = 1.  It keeps every term at every spread, where the
+    sum itself rounds near 1 and loses the small ones.
     """
-    s = 0.0
-    with np.errstate(all="ignore"):
-        wl = w_scaled * ln_b
-        for _ in range(NEWTON_STEPS):
-            e = np.exp(-s * wl)
-            f = float(np.add.reduce(e))
-            slope = float(e @ wl)
-            if not (f > 0.0 and 0.0 < slope < math.inf):
-                break
-            step = math.log(f) * f / slope
-            noise = (w_scaled.size + 2) * 2.0**-52 / slope
-            s += step
-            if not 0.0 < s < math.inf:
-                break
-            # converged, or down to the steps f's rounding makes by itself
-            if abs(step) <= NEWTON_STEP_TOL * s + noise:
-                return s, 64.0 * noise + 8.0 * math.ulp(s)
-    return math.nan, math.inf
+    if s == 0.0:
+        return math.inf, -math.inf
+    a = -s * w_rest  # -inf where s * w_i overflows: a term of exactly 0
+    top = float(np.maximum.reduce(a))
+    if top == -math.inf:
+        return -math.inf, -math.inf
+    e = np.exp2(a - top)
+    total = float(np.add.reduce(e))
+    # 1 - 2**(-s w_min) is -expm1(-y) for y = s w_min ln 2, and y itself to
+    # double precision where y is not a normal float
+    y = s * w_min * _LN2
+    if y > 1e-300:
+        tail, tail_slope = math.log2(-math.expm1(-y)), w_min * math.exp(-y) / -math.expm1(-y)
+    else:
+        tail, tail_slope = math.log2(s) + math.log2(w_min) + math.log2(_LN2), 1.0 / (s * _LN2)
+    return top + math.log2(total) - tail, -float(e @ w_rest) / total - tail_slope
 
 
-def _bisection_root(residual, hi: float, guess: float = 0.0, margin: float = math.inf):
-    """The root plain bisection finds for a decreasing residual, replayed.
+def _root(w_scaled: np.ndarray) -> float:
+    """Of the two adjacent floats around the root of r, the one with the
+    smaller |r|.
 
-    Doubles hi while residual(hi) >= 0, halves [0, hi] until its ends are
-    adjacent floats (at most 200 halvings), and returns the end with the
-    smaller |residual|.  A step at x farther than margin from guess takes
-    the side of the root from the side of guess that x lies on, without
-    evaluating residual(x); with an infinite margin every step evaluates,
-    which is plain bisection.  Returns None when the final ends do not
-    satisfy residual(lo) >= 0 > residual(hi), the sign of a guess that
-    ruled a step wrongly.
-    """
-    known = {}
-    low, high = guess - margin, guess + margin
-
-    def below_root(x: float) -> bool:
-        if x < low:
-            return True
-        if x > high:
-            return False
-        r = known[x] = residual(x)
-        return r >= 0.0
-
-    while below_root(hi):
-        hi *= 2.0
-        if hi == math.inf:
-            raise ValueError("weights too small: the capacity root is out of float range")
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if below_root(mid):
-            lo = mid
-        else:
-            hi = mid
-    r_lo = known[lo] if lo in known else residual(lo)
-    r_hi = known[hi] if hi in known else residual(hi)
-    if not r_lo >= 0.0 > r_hi:
-        return None
-    return lo if abs(r_lo) <= abs(r_hi) else hi
-
-
-def _saturated_root(w_scaled: np.ndarray, ln_b: float) -> float:
-    """The root of f where its w_min term rounds to 1, solved in log space.
-
-    The residual ln(sum of the other terms) - ln(-expm1(-s w_min ln b)) is
-    decreasing and keeps the terms that f loses beside 1.  Bisection on
-    the bit patterns of nonnegative floats, which order like their values,
-    reaches adjacent floats within 63 steps from any bracket; the end with
-    the smaller |residual| is the root.
+    Newton starts at the largest log2(k) / (mean of the k smallest
+    weights), where those k terms alone sum to at least 1 (Jensen), so
+    below the root, and climbs the convex decreasing r from the left.
+    Once its step is below NEWTON_STEP_TOL of s, a bracket grows from the
+    bit pattern of s by 1, 2, 4, ... patterns until r changes sign across
+    it; otherwise it spans 0.0 to inf.  Bisection on the bit patterns,
+    which order like the nonnegative floats, ends at adjacent floats.
     """
     i = int(np.argmin(w_scaled))
-    wl_min = float(w_scaled[i]) * ln_b
-    wl_rest = np.delete(w_scaled, i) * ln_b
+    w_min, w_rest = float(w_scaled[i]), np.delete(w_scaled, i)
 
-    def log_tail(s: float) -> float:
-        # ln(1 - e**-x) for x = s * wl_min, as ln s + ln wl_min +
-        # ln(-expm1(-x) / x) when x <= 1, which holds where x underflows
-        x = s * wl_min
-        if x > 1.0:
-            return math.log(-math.expm1(-x))
-        ratio = -math.expm1(-x) / x if x > 0.0 else 1.0
-        return math.log(s) + math.log(wl_min) + math.log(ratio)
+    def residual(bits: int) -> float:
+        return _log_residual(_F64.unpack(_I64.pack(bits))[0], w_min, w_rest)[0]
 
-    def residual(s: float) -> float:
-        if s == 0.0:
-            return math.inf
-        a = -s * wl_rest
-        top = float(a.max())
-        if top == -math.inf:
-            return -math.inf
-        return top + math.log(float(np.add.reduce(np.exp(a - top)))) - log_tail(s)
-
-    def value(bits: int) -> float:
-        return float(np.int64(bits).view(np.float64))
-
-    lo, hi = 0, 0x7FF0000000000000  # the bit patterns of 0.0 and inf
+    (lo, r_lo), (hi, r_hi) = (0, math.inf), (_INF_BITS, -math.inf)
+    k = np.arange(1, w_scaled.size + 1)
+    s = float(np.max(k * np.log2(k) / np.cumsum(np.sort(w_scaled))))
+    for _ in range(NEWTON_STEPS):
+        r, slope = _log_residual(s, w_min, w_rest)
+        step = r / slope
+        s -= step
+        if not 0.0 < s < math.inf:
+            break
+        if abs(step) <= NEWTON_STEP_TOL * s:
+            start = end = _I64.unpack(_F64.pack(s))[0]
+            r_start = r_end = residual(start)
+            step = 1 if r_start >= 0.0 else -1
+            while (r_end >= 0.0) == (r_start >= 0.0):
+                near, r_near = end, r_end
+                end = min(max(start + step, 0), _INF_BITS)
+                r_end = residual(end)
+                step *= 2
+            (lo, r_lo), (hi, r_hi) = sorted([(near, r_near), (end, r_end)])
+            break
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if residual(value(mid)) >= 0.0:
-            lo = mid
+        r_mid = residual(mid)
+        if r_mid >= 0.0:
+            lo, r_lo = mid, r_mid
         else:
-            hi = mid
-    lo, hi = value(lo), value(hi)
-    return lo if abs(residual(lo)) <= abs(residual(hi)) else hi
+            hi, r_hi = mid, r_mid
+    return _F64.unpack(_I64.pack(lo if abs(r_lo) <= abs(r_hi) else hi))[0]
 
 
 def dnc_capacity(spec: DncSpec) -> DncCapacity:
-    """Solve sum_i b**(-s w_i) = 1 for the unique positive root.
+    """Solve sum_i 2**(-C w_i) = 1 for its unique positive root C, the
+    capacity in bits per unit weight, with p*_i = 2**(-C w_i).
 
-    The map f is strictly decreasing from m > 1 at s = 0.  The root is the
-    one plain bisection finds: double a bracket until f < 1, then halve it
-    (at most 200 times) until its ends are adjacent floats, and take the
-    end where f is closer to 1.  The bisection is replayed with the help
-    of a Newton estimate of the root: a step farther from the estimate
-    than f's rounding can reach is ruled by the estimate, and only the
-    steps near the root evaluate f.  If the final ends do not straddle 1,
-    the estimate misled a step, and plain bisection runs instead.
-
-    The root is solved for the weights scaled by a power of two that
-    brings w_min near 1 (as far as the largest weight stays finite), so
-    the root of the scaled problem sits a few doublings from 1 and the
-    scale carries it back exactly; a capacity near the top of the float
-    range (w_min near 1e-308) stays reachable.  When the w_min term
-    b**(-s w_min) rounds to exactly 1 at that root, f has lost the other
-    terms, and the root is solved again in log space, with the w_min term
-    as -expm1, by bisection on the float bit patterns.  The returned
-    capacity is converted to bits per unit weight; p*_i = b**(-s w_i)
-    follows from the root.
+    Neither depends on the base b of ``spec``, which only names the units
+    of the channel.  :func:`_root` solves in log space for the weights
+    scaled by a power of two that brings w_min near 1 (as far as w_max
+    stays finite); the scale carries the root back exactly, so a capacity
+    near the top of the float range (w_min near 1e-308) stays reachable.
     """
     w = spec.w
-    ln_b = math.log(spec.b)
-    # w * 2**shift is exact, and the scaled root is s * 2**-shift exactly
+    # w * 2**shift is exact, and the scaled root is C * 2**-shift exactly
     shift = min(-math.frexp(float(w.min()))[1], 1024 - math.frexp(float(w.max()))[1])
     w_scaled = np.ldexp(w, shift)
-
-    def f_minus_1(s: float) -> float:
-        # np.add.reduce is ndarray.sum without its Python wrapper
-        return float(np.add.reduce(np.exp(-s * w_scaled * ln_b))) - 1.0
-
-    # Products s * w_i beyond the float range give exp(-inf) = 0 exactly,
-    # which is the right term; only the overflow warning is noise.
+    # s * w_i beyond the float range gives the term exp2(-inf) = 0, exactly right
     with np.errstate(over="ignore"):
-        # Double from the power of two just below 1/w_min (capped to stay
-        # finite), so the root is a few doublings away.  The bracket ends
-        # stay powers of two, so bisection passes through the same states
-        # as from a start at 1.
-        hi = math.ldexp(1.0, min(-math.frexp(float(w_scaled.min()))[1], 1023))
-        guess, margin = _newton_guess(w_scaled, ln_b)
-        s = _bisection_root(f_minus_1, hi, guess, margin)
-        if s is None:
-            s = _bisection_root(f_minus_1, hi)
-        if math.exp(-s * float(w_scaled.min()) * ln_b) == 1.0:
-            s = _saturated_root(w_scaled, ln_b)
-
-        c_scaled = s * math.log2(spec.b)
-        c_bits = float(np.ldexp(c_scaled, shift))
+        s = _root(w_scaled)
+        c_bits = float(np.ldexp(s, shift))
         if not math.isfinite(c_bits):
             raise ValueError("weights too small: the capacity root is out of float range")
-        p_star = np.exp2(-c_scaled * w_scaled)
+        p_star = np.exp2(-s * w_scaled)
     residual = abs(math.fsum(p_star.tolist()) - 1.0)
     if residual > ROOT_RESIDUAL_TOL:
         raise RuntimeError(f"capacity root residual {residual:.3e} above tolerance")
@@ -299,9 +227,11 @@ def lec(spec: DncSpec, tol: float = 1e-12, max_iter: int = 1000) -> LecResult:
     distinct optimal codes).  The returned R is the returned code's own
     rate divided by C, the C of the solve returned in ``solved``.
     """
-    capacity = dnc_capacity(spec)
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError("tol must be finite and positive")
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
+    capacity = dnc_capacity(spec)
 
     R = 1.0
     last: "LecResult | None" = None

@@ -3,11 +3,9 @@
 These are the heap-based ``ghc`` and ``huffman`` tree builders, the
 per-element Kraft-sum fold and the entry-by-entry ``CodeLengths`` check
 that the package used before its two-queue builder and histogram Kraft
-check, the capacity bisection bracketed from 1, the DNC capacity solver
-as plain bisection from a power-of-two bracket and the LEC loop that solved
-the capacity again and validated each code's dyadic PMF, the
-Blahut-Arimoto loop that built and validated its result on every
-iteration, the brute-force oracle as it was before its scan was shared
+check, the LEC loop that validated each code's dyadic PMF (on the
+package's own capacity solve), the Blahut-Arimoto loop that built and
+validated its result on every iteration, the brute-force oracle as it was before its scan was shared
 with ``brute_force_optima``, and the matcher as it was before its two
 per-bit walks became one: a buffered bit source, a ``simulate`` that only
 counted symbols, and the symbol list the CLI recovered by regenerating the
@@ -15,8 +13,8 @@ bits and parsing them again with ``modulate``, and the CLI's report
 serializer as it was before lists of exact ints went through one C-level
 call.  The property tests compare the package against them: same lengths
 (tie-breaks included), same divergences, same reduced Kraft sums or errors,
-bit-identical capacities, capacity-achieving PMFs and LEC fixed points, the
-same bits, symbols and counts, and the same report bytes.
+bit-identical DMC capacities, capacity-achieving PMFs and LEC fixed points,
+the same bits, symbols and counts, and the same report bytes.
 """
 
 from __future__ import annotations
@@ -33,17 +31,16 @@ from geomhuffman import (
     INF,
     CapacityResult,
     CodeLengths,
-    DncCapacity,
     DncSpec,
     DyadicPmf,
     LecResult,
     Pmf,
     entropy_per_weight,
     enumerate_full_codes,
+    dnc_capacity,
     ghc,
     kl_divergence,
 )
-from geomhuffman.dnc import ROOT_RESIDUAL_TOL
 from geomhuffman.errors import ConvergenceError, GuardExceededError
 from geomhuffman.pmf import as_weights
 
@@ -238,92 +235,6 @@ def code_lengths(lengths) -> tuple:
             f"lengths {entries} have Kraft sum {total}, expected exactly 1"
         )
     return entries
-
-
-def dnc_capacity_bits(w, b: float = 2.0) -> float:
-    """Capacity in bits per unit weight, bisected on a bracket doubled from 1."""
-    w = np.asarray(w, dtype=np.float64)
-    ln_b = math.log(b)
-
-    def f(s: float) -> float:
-        return float(np.exp(-s * w * ln_b).sum())
-
-    hi = 1.0
-    for _ in range(200):
-        if f(hi) < 1.0:
-            break
-        hi *= 2.0
-    else:
-        raise RuntimeError("could not bracket the capacity root")
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if f(mid) >= 1.0:
-            lo = mid
-        else:
-            hi = mid
-    s = lo if abs(f(lo) - 1.0) <= abs(f(hi) - 1.0) else hi
-    return s * math.log2(b)
-
-
-def dnc_capacity(spec: DncSpec) -> DncCapacity:
-    """Solve sum_i b**(-s w_i) = 1 for the unique positive root.
-
-    The map is strictly decreasing from m > 1 at s = 0, so plain bisection
-    on a doubled bracket is exact enough: 200 halvings collapse the bracket
-    to adjacent floats.  The root is solved for the weights scaled by a
-    power of two that brings w_min near 1 (as far as the largest weight
-    stays finite), so the root of the scaled problem sits a few doublings
-    from 1 and the scale carries it back exactly; a capacity near the top
-    of the float range (w_min near 1e-308) stays reachable.  The returned
-    capacity is converted to bits per unit weight; p*_i = b**(-s w_i)
-    follows from the root.
-    """
-    w = spec.w
-    ln_b = math.log(spec.b)
-    # w * 2**shift is exact, and the scaled root is s * 2**-shift exactly
-    shift = min(-math.frexp(float(w.min()))[1], 1024 - math.frexp(float(w.max()))[1])
-    w_scaled = np.ldexp(w, shift)
-
-    def f(s: float) -> float:
-        # np.add.reduce is ndarray.sum without its Python wrapper; bisection
-        # calls f about 60 times
-        return float(np.add.reduce(np.exp(-s * w_scaled * ln_b)))
-
-    # Products s * w_i beyond the float range give exp(-inf) = 0 exactly,
-    # which is the right term; only the overflow warning is noise.
-    with np.errstate(over="ignore"):
-        # Double from the power of two just below 1/w_min (capped to stay
-        # finite), so the root is a few doublings away.  The bracket ends
-        # stay powers of two, so bisection passes through the same states
-        # as from a start at 1.
-        hi = math.ldexp(1.0, min(-math.frexp(float(w_scaled.min()))[1], 1023))
-        while f(hi) >= 1.0:
-            hi *= 2.0
-            if hi == math.inf:
-                raise ValueError("weights too small: the capacity root is out of float range")
-        lo = 0.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                break
-            if f(mid) >= 1.0:
-                lo = mid
-            else:
-                hi = mid
-        s = lo if abs(f(lo) - 1.0) <= abs(f(hi) - 1.0) else hi
-
-        c_scaled = s * math.log2(spec.b)
-        c_bits = float(np.ldexp(c_scaled, shift))
-        if not math.isfinite(c_bits):
-            raise ValueError("weights too small: the capacity root is out of float range")
-        p_star = np.exp2(-c_scaled * w_scaled)
-    residual = abs(math.fsum(p_star.tolist()) - 1.0)
-    if residual > ROOT_RESIDUAL_TOL:
-        raise RuntimeError(f"capacity root residual {residual:.3e} above tolerance")
-    return DncCapacity(C=c_bits, p_star=Pmf(p_star), root_residual=residual)
 
 
 def lec(spec: DncSpec, tol: float = 1e-12, max_iter: int = 1000) -> LecResult:

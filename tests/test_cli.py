@@ -210,7 +210,7 @@ class TestSubcommands:
         assert len(calls) == 1
 
     @pytest.mark.parametrize(
-        "w, b", [((1, 1), 3), ((1, 2, 2), 10), ((5, 5, 5, 5), 1.5)]
+        "w, b", [((1, 1, 1, 1), 3), ((0.7, 1.4, 1.4), 10), ((5, 5, 5, 5), 1.5)]
     )
     def test_dnc_lec_on_a_dyadic_p_star(self, capsys, tmp_path, w, b):
         # lec returns R = 1 + 2**-52 here, which weighted_target takes as
@@ -349,6 +349,16 @@ class TestSubcommands:
         code, _, err = run(capsys, "dnc", str(path))
         assert code == 0
         assert err.count("\n") == 1 and err.startswith("dnc: C=")
+
+    @pytest.mark.parametrize("flags", [(), ("--lec",), ("--block", "2")])
+    def test_dnc_huge_base_and_weight_solve(self, capsys, tmp_path, flags):
+        # the solve used to scale the weights by ln(b), which overflowed
+        # here and ended in a RuntimeError traceback; C in bits, from mpmath
+        path = tmp_path / "w.json"
+        path.write_text('{"type": "dnc", "weights": [1, 1e308], "base": 1e300}')
+        code, out, err = run(capsys, "dnc", str(path), *flags)
+        assert code == 0, err
+        assert json.loads(out)["capacity_bits"] == pytest.approx(1.0136972085300726569e-305, rel=1e-11)
 
     def test_dnc_infinite_base_is_input_error(self, capsys, tmp_path):
         path = tmp_path / "w.json"

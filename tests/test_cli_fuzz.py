@@ -1,13 +1,14 @@
 """A fuzz of the command line, run in process through ``cli.main``.
 
 Spec files mix valid channels with non-number JSON values, NaN and
-Infinity tokens and numbers beyond the float range; codebooks mix valid
-canonical codes with duplicate symbols, gaps, prefix clashes and random
-bit strings; flags take valid and invalid values.  Every run must end in
-exit 0, 1 or 2 without an exception escaping ``main``: exit 0 with
-parseable stdout, exit 1 or 2 with empty stdout and exactly one
-``error:`` line on stderr.  Sizes are small, so every example ends within
-a second or so.
+Infinity tokens and numbers beyond the float range, and DNC specs take
+weights at the ends of the float range and bases up to 1e300; codebooks
+mix valid canonical codes with duplicate symbols, gaps, prefix clashes
+and random bit strings; flags take valid and invalid values.  Every run
+must end in exit 0, 1 or 2 without an exception escaping ``main``: exit
+0 with parseable stdout, exit 1 or 2 with empty stdout and exactly one
+``error:`` line on stderr.  Sizes are small, so every example ends
+within a second or so.
 """
 
 import contextlib
@@ -27,6 +28,8 @@ from geomhuffman.cli import main
 # reads as non-finite or out-of-range floats
 NON_NUMBERS = ['"0.5"', '"1"', '"x"', "true", "false", "null", "[0.5]", "[]", "{}"]
 ODD_NUMBERS = ["NaN", "Infinity", "-Infinity", "1e400", "-1e400", "1e-400", "0", "-1"]
+# finite weights at the ends of the float range, and a spread of 1e20
+EXTREME_WEIGHTS = ["1e308", "1e-300", "5e-324", "1e20"]
 
 
 @pytest.fixture(scope="module")
@@ -89,9 +92,10 @@ def spec_docs(draw):
         flat, bad = draw(_entry_texts([cols[i][j] for j in range(n) for i in range(m)]))
         rows = ("[%s]" % ", ".join(flat[j * m:(j + 1) * m]) for j in range(n))
         return "dmc", '{"type": "dmc", "transition": [%s]}' % ", ".join(rows), bad
-    weights = [str(v) for v in draw(st.lists(st.integers(1, 5), min_size=2, max_size=5))]
+    weight = st.one_of(st.integers(1, 5).map(str), st.sampled_from(EXTREME_WEIGHTS))
+    weights = draw(st.lists(weight, min_size=2, max_size=5))
     texts, bad = draw(_entry_texts(weights))
-    base = draw(st.sampled_from(["2", "3", "10", "1.5"] + NON_NUMBERS + ODD_NUMBERS))
+    base = draw(st.sampled_from(["2", "3", "10", "1.5", "1e300", "1.0000001"] + NON_NUMBERS + ODD_NUMBERS))
     bad = bad or base in NON_NUMBERS
     return "dnc", '{"type": "dnc", "weights": [%s], "base": %s}' % (", ".join(texts), base), bad
 
@@ -180,7 +184,7 @@ def test_codebook_commands_exit_cleanly(workdir, text, symbols, seed, dematch, f
 @settings(max_examples=200, deadline=None)
 @given(
     weights=st.lists(st.integers(1, 5), min_size=2, max_size=5),
-    base=st.sampled_from([2, 3, 10, 1.5]),
+    base=st.sampled_from([2, 3, 10, 1.5, 1e300, 1.0000001]),
     flags=st.sampled_from([["--lec"], ["--block", "2"]]),
 )
 def test_small_integer_dncs_succeed(workdir, weights, base, flags):

@@ -6,8 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import reference
-
 from geomhuffman import (
     INF,
     CodeLengths,
@@ -35,14 +33,25 @@ P_STAR_12 = np.array([0.618033988749895, 0.381966011250105])
 C_123 = 0.879146421606638
 P_STAR_123 = np.array([0.543689012692076, 0.295597742522085, 0.160713244785839])
 
-# capacities where the w_min term of the root equation rounds to 1, from
-# mpmath 1.3.0 at 1400 digits (the terms reach 1e-596)
+# capacities where the w_min term 2**(-C w_min) of the root equation rounds
+# to 1 in double precision, from mpmath 1.3.0 at 1400 digits (the terms
+# reach 1e-596); the log-space residual keeps the other terms beside it
 SATURATED_ROOTS = {
     (1.0, 1e20): 6.1035745766954882949e-19,
     (1e-10, 1e10): 6.1035745766954882897e-9,
     (1e-300, 1e300): 1.9827323490807608453e-297,
     (1e-300, 1.0, 1e300): 987.16005463227190361,
     (2.0, 1e19, 3e19, 1e20): 5.6817145723071777014e-18,
+}
+# capacities on spreads just below that, where 2**(-C w_min) is within
+# 1e-10 of 1 and the sum itself keeps few digits of the other terms; from
+# mpmath 1.3.0 at 80 digits
+UNSATURATED_ROOTS = {
+    (1.0, 1e12): 3.5252259679116508625e-11,
+    (1.0, 1e16): 4.809189404986016914e-15,
+    (1.0, 1e17): 5.1320092130760463832e-16,
+    (1.0, 3e17): 1.762077938454690053e-16,
+    (2.0, 5.0, 1e17): 0.30626889418450700756,
 }
 
 W12 = DncSpec(np.array([1.0, 2.0]))
@@ -101,24 +110,14 @@ class TestDncCapacity:
             assert np.all(cap.p_star.probs > 0)
 
     def test_non_binary_base(self):
-        # capacity converts to bits, so p* only depends on C in bits
-        cap2 = dnc_capacity(DncSpec(np.array([1.0, 2.0]), b=2.0))
-        cap3 = dnc_capacity(DncSpec(np.array([1.0, 2.0]), b=3.0))
-        assert cap3.C == pytest.approx(cap2.C, abs=1e-12)
-        assert np.allclose(cap3.p_star.probs, cap2.p_star.probs, atol=1e-12)
-
-
-    def test_bracket_start_keeps_capacities_bit_identical(self):
-        # a bracket doubled from a power of two near 1/w_min bisects through
-        # the same states as one doubled from 1
-        rng = np.random.default_rng(41)
-        weights = [W12.w, W123.w, [0.5, 1.7, 2.2, 9.0], [1.0, 1.0], [2.0, 3.0, 5.0, 7.0],
-                   [1.0, 3.0, 4.0, 4.0, 9.0], [1.0, 2.0, 2.0, 5.0], [1, 8, 5, 4, 1, 6, 4, 6]]
-        weights += [np.sort(rng.uniform(0.1, 10.0, size=int(rng.integers(2, 10)))) for _ in range(50)]
-        weights += [np.exp(rng.uniform(math.log(1e-3), math.log(1e3), size=int(rng.integers(2, 65))))
-                    for _ in range(200)]
-        for w in weights:
-            assert dnc_capacity(DncSpec(np.array(w, dtype=float))).C == reference.dnc_capacity_bits(w)
+        # C is in bits and the solve never uses the base, so C and p* are
+        # the same bits in every base
+        for w in ([1.0, 2.0], [1.0, 1e308], [5e-324, 1.0], [0.5, 1.7, 2.2, 9.0]):
+            cap2 = dnc_capacity(DncSpec(np.array(w), b=2.0))
+            for b in (3.0, 1.0000001, 1e300):
+                cap = dnc_capacity(DncSpec(np.array(w), b=b))
+                assert cap.C == cap2.C
+                assert cap.p_star.probs.tobytes() == cap2.p_star.probs.tobytes()
 
     @pytest.mark.parametrize("w", [1e300, 1e-300])
     def test_extreme_equal_weights_match_closed_form(self, w):
@@ -139,21 +138,24 @@ class TestDncCapacity:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             cap = dnc_capacity(DncSpec(np.array([1e-300, 1e300])))
-        assert cap.C == pytest.approx(SATURATED_ROOTS[(1e-300, 1e300)], rel=1e-14, abs=0.0)
+        assert cap.C == pytest.approx(SATURATED_ROOTS[(1e-300, 1e300)], rel=1e-15, abs=0.0)
         assert cap.root_residual <= 1e-12
 
     @pytest.mark.parametrize("w", list(SATURATED_ROOTS))
     def test_saturated_w_min_term_solves_in_log_space(self, w):
-        # b**(-C w_min) rounds to 1 at the root, where f sees only the w_min
+        # 2**(-C w_min) rounds to 1 at the root, where f sees only the w_min
         # term; the capacity used to come out as 6.5e-17 on (1, 1e20)
         cap = dnc_capacity(DncSpec(np.array(w)))
-        assert cap.C == pytest.approx(SATURATED_ROOTS[w], rel=1e-14, abs=0.0)
+        assert cap.C == pytest.approx(SATURATED_ROOTS[w], rel=1e-15, abs=0.0)
         assert cap.root_residual <= 1e-12
 
-    @pytest.mark.parametrize("w", [(1.0, 1e16), (1.0, 1e17), (1.0, 3e17), (2.0, 5.0, 1e17)])
-    def test_spreads_below_saturation_keep_the_bisection_root(self, w):
-        spec = DncSpec(np.array(w))
-        assert dnc_capacity(spec).C == reference.dnc_capacity(spec).C
+    @pytest.mark.parametrize("w", list(UNSATURATED_ROOTS))
+    def test_spreads_below_saturation_match_mpmath(self, w):
+        # the bisection of sum - 1 was off by 8e-8 on (1, 1e12), 5e-4 on
+        # (1, 1e16) and 7e-3 on (1, 1e17)
+        cap = dnc_capacity(DncSpec(np.array(w)))
+        assert cap.C == pytest.approx(UNSATURATED_ROOTS[w], rel=1e-15, abs=0.0)
+        assert cap.root_residual <= 1e-12
 
     def test_capacity_out_of_float_range_is_value_error(self):
         # C = 1/w = 2**1074 for the smallest subnormal weight
@@ -210,7 +212,7 @@ class TestWeightedTarget:
             weighted_target(dnc_capacity(W12).p_star, R)
 
     @pytest.mark.parametrize(
-        "w, b", [((1, 1), 3), ((1, 2, 2), 10), ((5, 5, 5, 5), 1.5)]
+        "w, b", [((1, 1, 1, 1), 3), ((0.7, 1.4, 1.4), 10), ((5, 5, 5, 5), 1.5)]
     )
     def test_accepts_lec_r_rounded_above_one(self, w, b):
         # p* is dyadic here, and lec's rate / C rounds to 1 + 2**-52
@@ -305,11 +307,11 @@ class TestLec:
             assert res.R == res.rate / res.solved.C
 
     def test_dyadic_p_star_may_end_above_one(self):
-        # p* = (1/2, 1/2) in base 3 rounds to a rate a hair above C; the
+        # p* = (1/4, 1/4, 1/4, 1/4) rounds to a C an ulp below the rate; the
         # result still carries its tilt p*^R without a guard on R
-        res = lec(DncSpec(np.array([1.0, 1.0]), 3.0))
-        assert res.lengths.lengths == (1, 1)
-        assert res.R == pytest.approx(1.0, abs=1e-15)
+        res = lec(DncSpec(np.array([1.0, 1.0, 1.0, 1.0]), 3.0))
+        assert res.lengths.lengths == (2, 2, 2, 2)
+        assert 1.0 < res.R <= 1.0 + 1e-15
         p = DyadicPmf.from_code(res.lengths).probs
         assert kl_divergence(p, np.power(res.solved.p_star.probs, res.R)) == pytest.approx(0.0, abs=1e-15)
 
@@ -317,6 +319,20 @@ class TestLec:
     def test_rejects_tolerance_not_finite_and_positive(self, tol):
         with pytest.raises(ValueError, match="finite and positive"):
             lec(W123, tol=tol)
+
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_rejects_max_iter_below_one(self, max_iter):
+        # it used to raise ConvergenceError with best=None
+        with pytest.raises(ValueError, match="max_iter must be >= 1"):
+            lec(W123, max_iter=max_iter)
+
+    def test_checks_arguments_before_the_solve(self):
+        # weights whose capacity is out of float range report the arguments
+        out_of_range = DncSpec(np.array([5e-324, 5e-324]))
+        with pytest.raises(ValueError, match="finite and positive"):
+            lec(out_of_range, tol=math.nan)
+        with pytest.raises(ValueError, match="max_iter must be >= 1"):
+            lec(out_of_range, max_iter=0)
 
     def test_iteration_cap_carries_best(self):
         with pytest.raises(ConvergenceError) as exc_info:

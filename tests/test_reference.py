@@ -1,14 +1,16 @@
 """The two-queue builder, the histogram Kraft check, the capacity solver's
-loop, the shared oracle scan, the one-pass matcher and the Newton-guided
-DNC capacity and lean LEC step against the heap builders, per-element fold,
-per-iteration validating loop, separate oracle, buffered two-pass matcher,
-plain capacity bisection and LEC they replaced, and the report serializer
-against the element-by-element one (``reference.py``); and the batched
-rounds of the two-queue builder against its scalar loop."""
+loop, the shared oracle scan, the one-pass matcher and the lean LEC step
+against the heap builders, per-element fold, per-iteration validating loop,
+separate oracle, buffered two-pass matcher and LEC they replaced, and the
+report serializer against the element-by-element one (``reference.py``);
+the batched rounds of the two-queue builder against its scalar loop; and
+the log-space DNC capacity solve against its root bracketed in mpmath."""
 
 import math
+import sys
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -34,8 +36,9 @@ from geomhuffman import (
     product_pmf,
     simulate,
 )
-from geomhuffman import approximators, dnc
+from geomhuffman import approximators
 from geomhuffman.cli import emit_report
+from geomhuffman.dnc import ROOT_RESIDUAL_TOL
 from geomhuffman.errors import ConvergenceError, GuardExceededError
 
 # exact ties, zeros, powers of two and pairs exactly 4x apart (the GHC drop
@@ -265,8 +268,9 @@ class TestHistogramKraft:
 def _dnc_specs(draw):
     """DNCs with 2-64 symbols: integer weights, uniform weights, near-ties a
     few ulps apart, or log-uniform weights spread over up to 15 decades
-    around a scale between 1e-20 and 1e20 (the w_min term of the root
-    equation stays below 1 there), in base 2 or another base."""
+    from a scale between 1e-300 and 1e300 (capped at 1e308), with at times
+    a subnormal w_min; in base 2 or another base from just above 1 to
+    1e300, which the capacity in bits does not depend on."""
     m = draw(st.integers(2, 64))
     kind = draw(st.sampled_from(["integer", "uniform", "near-ties", "spread"]))
     if kind == "integer":
@@ -278,24 +282,24 @@ def _dnc_specs(draw):
         steps = draw(st.lists(st.integers(-4, 4), min_size=m, max_size=m))
         w = [values[i % len(values)] * (1.0 + j * 2.0**-52) for i, j in enumerate(steps)]
     else:
-        scale = 10.0 ** draw(st.floats(-20.0, 20.0))
+        low = draw(st.floats(-300.0, 300.0))
         decades = draw(st.floats(0.0, 15.0))
-        w = [scale * 10.0 ** (decades * u) for u in draw(st.lists(st.floats(0.0, 1.0), min_size=m, max_size=m))]
-    b = draw(st.sampled_from([2.0, 2.0, 3.0, math.e, 10.0, 1.5, 256.0]))
+        us = draw(st.lists(st.floats(0.0, 1.0), min_size=m, max_size=m))
+        w = [10.0 ** min(low + decades * u, 308.0) for u in us]
+        if draw(st.booleans()):
+            w[0] = draw(st.floats(5e-324, 2.0**-1022, exclude_max=True, allow_subnormal=True))
+    b = draw(st.sampled_from([2.0, 2.0, 3.0, math.e, 10.0, 1.5, 256.0, 1.0000001, 1.0 + 2.0**-52, 1e300]))
     return DncSpec(np.array(w, dtype=np.float64), b)
 
 
-def _solve_recording_replays(spec):
-    """dnc_capacity(spec), and the results of its bisection replays in order."""
-    results = []
-    replay = dnc._bisection_root
-
-    def recording(*args):
-        results.append(replay(*args))
-        return results[-1]
-
-    with mock.patch.object(dnc, "_bisection_root", recording):
-        return dnc_capacity(spec), results
+def _mp_residual(w, s) -> mpmath.mpf:
+    """ln(sum of e**(-s w_i ln 2) over all but w_min) - ln(1 - e**(-s w_min ln 2))
+    at 40 digits: decreasing in s, and 0 at the capacity."""
+    with mpmath.workdps(40):
+        s = mpmath.mpf(s)
+        i = int(np.argmin(w))
+        rest = mpmath.fsum(mpmath.exp(-s * mpmath.mpf(float(x)) * mpmath.ln2) for j, x in enumerate(w) if j != i)
+        return mpmath.log(rest) - mpmath.log(-mpmath.expm1(-s * mpmath.mpf(float(w[i])) * mpmath.ln2))
 
 
 _NAMED_DNCS = [
@@ -303,8 +307,7 @@ _NAMED_DNCS = [
     ([1.0, 2.0, 3.0], 2.0),
     ([1, 8, 5, 4, 1, 6, 4, 6], 2.0),
     ([1.0, 1.0], 2.0),
-    # p* = (1 - 1e-5, 1e-5): f's rounding reaches some 6e-12 of the root,
-    # past a margin fixed at 1e-13 of it
+    # p* = (1 - 1e-5, 1e-5)
     ([1e-3, 1e3], 2.0),
     ([1e-3, 1e3, 1e3], 3.0),
     ([1.0, 1e12], 2.0),
@@ -319,14 +322,25 @@ _NAMED_DNCS = [
 class TestDncCapacityMatchesReference:
     @staticmethod
     def _check(spec):
-        got, replays = _solve_recording_replays(spec)
-        want = reference.dnc_capacity(spec)
-        assert got.C == want.C
-        assert got.p_star.probs.tobytes() == want.p_star.probs.tobytes()
-        assert got.root_residual == want.root_residual
-        # the Newton margin holds the root: the guided replay settles on
-        # the bisection's ends without falling back to plain bisection
-        assert len(replays) == 1 and replays[0] is not None
+        """The capacity within 1e-15 of the root: mpmath's residual changes
+        sign between C (1 - 1e-15) and C (1 + 1e-15).  p* and the residual
+        are those of that C, and C does not depend on the base."""
+        try:
+            cap = dnc_capacity(spec)
+        except ValueError as exc:
+            # only a root past the largest float is refused
+            assert "out of float range" in str(exc)
+            assert _mp_residual(spec.w, sys.float_info.max) >= 0
+            return
+        c = mpmath.mpf(cap.C)
+        assert _mp_residual(spec.w, c * (1 - mpmath.mpf(1e-15))) >= 0
+        assert _mp_residual(spec.w, c * (1 + mpmath.mpf(1e-15))) <= 0
+        assert np.allclose(cap.p_star.probs, np.exp2(-cap.C * spec.w), rtol=1e-12, atol=0.0)
+        assert cap.root_residual == abs(math.fsum(cap.p_star.probs.tolist()) - 1.0)
+        assert cap.root_residual <= ROOT_RESIDUAL_TOL
+        in_bits = dnc_capacity(DncSpec(spec.w, 2.0))
+        assert in_bits.C == cap.C
+        assert in_bits.p_star.probs.tobytes() == cap.p_star.probs.tobytes()
 
     @settings(max_examples=300, deadline=None)
     @given(_dnc_specs())
@@ -339,6 +353,9 @@ class TestDncCapacityMatchesReference:
 
 
 class TestLecMatchesReference:
+    """The package's LEC loop against the reference loop; both run on the
+    package's capacity solve."""
+
     @staticmethod
     def _outcome(solve, spec, max_iter):
         try:
@@ -346,6 +363,8 @@ class TestLecMatchesReference:
             tag = "ok"
         except ConvergenceError as exc:
             res, tag = exc.best, "ConvergenceError"
+        except ValueError as exc:
+            return "ValueError", str(exc)
         return tag, res.R, res.rate, res.lengths.lengths, res.iterations
 
     @settings(max_examples=150, deadline=None)
