@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dyadic import INF, CodeLengths
+from .dyadic import INF, CodeLengths, _dyadic_probs
 from .pmf import Pmf, _checked_weights, kl_divergence
 
 # from this many sorted leaves up, ghc and huffman build in batched rounds;
@@ -23,9 +23,9 @@ from .pmf import Pmf, _checked_weights, kl_divergence
 # the whole ghc call breaks even between 1024 and 2048 leaves)
 BATCH_MIN_LEAVES = 2048
 # from this many symbols up, _code_and_divergence scatters the depths into
-# symbol order with numpy; below it a loop is faster (the two break even
-# near 512 symbols when the depths are a list, as gcc and the scalar loop
-# give them, and the batched rounds' object arrays all lie above it)
+# one symbol-order int64 array and checks the code from it; below it a loop
+# and the public constructor are faster (numpy on that path cost the
+# many-small-channel workload 14.5%; the batched rounds all lie above it)
 _SCATTER_MIN_SYMBOLS = 512
 # a batched round needs this many more nodes than a and b, in the leaves or
 # in the queue, above its key bound; a smaller one is a scalar step
@@ -110,7 +110,7 @@ def _two_queue_depths(keys: list, ties: list, merge, drop=None) -> list:
 
 def _batched_depths(keys: np.ndarray, ties: np.ndarray, merge, drop=None) -> np.ndarray:
     """:func:`_two_queue_depths` replayed in rounds of numpy steps, with the
-    same depths (an object array of Python ints, inf for dropped leaves).
+    same depths as an int64 array, negative for dropped leaves.
 
     A round pops the first two pending nodes a and b.  When the drop rule
     holds, a goes, as in one scalar step.  Otherwise their parent's key
@@ -213,14 +213,12 @@ def _batched_depths(keys: np.ndarray, ties: np.ndarray, merge, drop=None) -> np.
             dv[kids[0]] = dv[kids[1]] = dv[first] + 1
         else:
             depth[kids] = np.repeat(depth[first:first + kids.size // 2], 2) + 1
-    depths = depth[:n].astype(object)
-    depths[depth[:n] < 0] = INF
-    return depths
+    return depth[:n]
 
 
 def _tree_depths(keys: np.ndarray, ties: np.ndarray, merge, drop):
-    """Leaf depths of the two-queue build: the batched rounds from
-    BATCH_MIN_LEAVES leaves up, the scalar loop below."""
+    """Leaf depths of the two-queue build: the batched rounds' int64 array
+    from BATCH_MIN_LEAVES leaves up, the scalar loop's list below."""
     if keys.size >= BATCH_MIN_LEAVES:
         return _batched_depths(keys, ties, merge, drop)
     return _two_queue_depths(keys.tolist(), ties.tolist(), merge, drop)
@@ -228,17 +226,31 @@ def _tree_depths(keys: np.ndarray, ties: np.ndarray, merge, drop):
 
 def _code_and_divergence(order: np.ndarray, depths, arr: np.ndarray) -> tuple:
     """CodeLengths in symbol order from the depths of the first len(depths)
-    symbols of order (the others get inf), and D(p || arr)."""
+    symbols of order (the others are dropped), and D(p || arr).
+
+    depths is a list with inf for dropped leaves, or an int64 array with
+    negative depths for them.  Below _SCATTER_MIN_SYMBOLS symbols the code
+    goes through the public constructor; from there up the depths are
+    scattered into one int64 array, -1 where dropped, which both the code
+    and p come from.
+    """
     if arr.size < _SCATTER_MIN_SYMBOLS:
+        if type(depths) is not list:  # gcc's array
+            depths = depths.tolist()
         entries = [INF] * arr.size
         for sym, depth in zip(order.tolist(), depths):
             entries[sym] = depth
-    else:
-        scattered = np.full(arr.size, INF, dtype=object)
-        scattered[order[:len(depths)]] = depths
-        entries = scattered.tolist()
-    code = CodeLengths(tuple(entries))
-    return code, kl_divergence(np.exp2(-np.array(code.lengths, dtype=np.float64)), arr)
+        code = CodeLengths(tuple(entries))
+        return code, kl_divergence(_dyadic_probs(code.lengths), arr)
+    if type(depths) is list:  # the scalar loop's, inf where dropped
+        depths = np.array(depths, dtype=np.float64)
+        depths[depths == INF] = -1.0
+        depths = depths.astype(np.int64)
+    d = np.full(arr.size, -1, np.int64)
+    d[order[:depths.size]] = np.maximum(depths, -1)
+    code = CodeLengths._from_depths(d)
+    p = np.exp2(-d, out=np.zeros(d.size), where=d >= 0)  # the bits of 2.0**-l
+    return code, kl_divergence(p, arr)
 
 
 def _ghc_merge(ua: float, ub: float) -> float:
@@ -272,7 +284,10 @@ def ghc(x) -> tuple:
     batched rounds, each pairing in a few numpy steps every pending node
     that pops before the round's first parent could, with the same
     lengths; below it the build is one scalar loop.  Dropped nodes may be
-    whole subtrees; every leaf beneath one gets length inf.  Among equal u
+    whole subtrees; every leaf beneath one gets length inf.  From
+    _SCATTER_MIN_SYMBOLS symbols up, the depths stay one int64 array from
+    the build to the result: the code's exact Kraft check walks its
+    histogram, and only the lengths tuple is built per symbol.  Among equal u
     the lower original symbol index ends up with the shorter (or equal)
     codeword, which keeps outputs deterministic.
 
@@ -327,32 +342,31 @@ def gcc(q: Pmf) -> tuple:
 
     Sorts q descending, assigns l_i = floor(-log2 q_i) until the running
     Kraft sum hits exactly 1 at some index k, and drops everything after.
-    The accumulation uses exact integer arithmetic: the running deficit is
-    always an integer multiple of the next term, so the sum can never skip
-    over 1, and a floating comparison would mis-terminate for large m.
+    The lengths never fall along that order, so the cutoff is found by a
+    walk over their histogram, one level at a time, in exact integers:
+    before level l the Kraft deficit is an integer multiple of 2**-l,
+    ``need`` level-l leaves, so the sum can never skip over 1 (a floating
+    comparison would mis-terminate for large m).  The first level that
+    holds at least ``need`` symbols ends the code: every symbol above it
+    is kept, and of its own symbols the first ``need`` in the order, so
+    only that level is sorted.
 
     Every kept probability satisfies 2**(-l_i) >= q_i, which bounds the
     divergence by 1 bit.  Returns (CodeLengths in original order, D bits).
     """
     arr = q.probs
-    order = np.argsort(-arr, kind="stable")
-    order = order[arr[order] > 0.0]
-    depths = []  # lengths of the kept symbols, in the order of ``order``
-    units, scale = 0, 0  # the Kraft sum so far is units / 2**scale
-    for length in _floor_neg_log2(arr[order]).tolist():
-        if length > scale:
-            units <<= length - scale
-            scale = length
-        units += 1 << (scale - length)
-        if units > 1 << scale:
-            raise RuntimeError(
-                "internal consistency error: greedy Kraft sum overshot 1"
-            )
-        depths.append(length)
-        if units == 1 << scale:
+    positive = arr > 0.0
+    lengths = _floor_neg_log2(arr)
+    need = 1  # the Kraft deficit, in leaves of the current level
+    for level, count in enumerate(np.bincount(lengths[positive]).tolist()):
+        if count >= need:
             break
+        need = 2 * (need - count)
     else:
         raise RuntimeError(
             "internal consistency error: exact Kraft equality never reached"
         )
-    return _code_and_divergence(order, depths, arr)
+    ends = np.flatnonzero(positive & (lengths == level))
+    ends = ends[np.argsort(-arr[ends], kind="stable")[:need]]
+    kept = np.concatenate((np.flatnonzero(positive & (lengths < level)), ends))
+    return _code_and_divergence(kept, lengths[kept], arr)

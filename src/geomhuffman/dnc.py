@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .approximators import ghc
-from .dyadic import CodeLengths, DyadicPmf
+from .dyadic import CodeLengths, DyadicPmf, _dyadic_probs
 from .errors import ConvergenceError, DimensionMismatchError
 from .pmf import PRODUCT_CAP, Pmf, _coordinate_sum, as_weights, entropy, product_pmf
 
@@ -127,7 +127,8 @@ def _root(w_scaled: np.ndarray) -> float:
     Once its step is below NEWTON_STEP_TOL of s, a bracket grows from the
     bit pattern of s by 1, 2, 4, ... patterns until r changes sign across
     it; otherwise it spans 0.0 to inf.  Bisection on the bit patterns,
-    which order like the nonnegative floats, ends at adjacent floats.
+    which order like the nonnegative floats, ends at adjacent floats.  A
+    root above the largest float is returned as inf.
     """
     i = int(np.argmin(w_scaled))
     w_min, w_rest = float(w_scaled[i]), np.delete(w_scaled, i)
@@ -162,6 +163,8 @@ def _root(w_scaled: np.ndarray) -> float:
             lo, r_lo = mid, r_mid
         else:
             hi, r_hi = mid, r_mid
+    if hi == _INF_BITS and r_lo > 0.0:
+        return math.inf  # r is still positive at the largest float
     return _F64.unpack(_I64.pack(lo if abs(r_lo) <= abs(r_hi) else hi))[0]
 
 
@@ -222,10 +225,17 @@ def lec(spec: DncSpec, tol: float = 1e-12, max_iter: int = 1000) -> LecResult:
     R = rate(p) / C.  The divergence D(p || p*^R), taken against the tilt
     that built p, equals (R - R_new) * C * average_weight: it is negative
     while the new code still raises the rate and vanishes exactly at the
-    fixed point.  Iteration stops when its magnitude falls below tol or
-    when R stops moving (the |dR| fallback covers exact ties between
-    distinct optimal codes).  The returned R is the returned code's own
-    rate divided by C, the C of the solve returned in ``solved``.
+    fixed point.  Iteration stops when R stops moving (|dR| <= R_TOL,
+    which also covers exact ties between distinct optimal codes) or, from
+    the second pass on, when |D| falls below tol.  The first pass starts
+    from R = 1, which is no code's rate, so its D says nothing about the
+    fixed point: on two weights 15 or more decades apart it is the tiny
+    C * average_weight of a one-leaf code, and rounds to 0 from 17
+    decades.  From the second pass on R is the last code's own rate,
+    which GHC's code at R can lower only through a tie it breaks the
+    other way; the last code is then the fixed point and is returned.
+    The returned R is the returned code's own rate divided by C, the C
+    of the solve returned in ``solved``.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError("tol must be finite and positive")
@@ -238,12 +248,17 @@ def lec(spec: DncSpec, tol: float = 1e-12, max_iter: int = 1000) -> LecResult:
     for iteration in range(1, max_iter + 1):
         code, div = ghc(weighted_target(capacity.p_star, R))
         # the code's dyadic PMF, whose lengths CodeLengths has already checked
-        rate = entropy_per_weight(np.exp2(-np.array(code.lengths, dtype=np.float64)), spec)
+        rate = entropy_per_weight(_dyadic_probs(code.lengths), spec)
         r_new = rate / capacity.C
-        last = LecResult(R=r_new, lengths=code, rate=rate, iterations=iteration, solved=capacity)
-        if abs(div) <= tol or abs(r_new - R) <= R_TOL:
-            return last
-        R = r_new
+        result = LecResult(R=r_new, lengths=code, rate=rate, iterations=iteration, solved=capacity)
+        if abs(r_new - R) <= R_TOL:
+            return result
+        if last is not None:
+            if r_new < R:
+                return last
+            if abs(div) <= tol:
+                return result
+        last, R = result, r_new
     raise ConvergenceError(
         f"LEC did not converge within {max_iter} iterations", best=last
     )
@@ -263,7 +278,8 @@ def optimize_block_dnc(spec: DncSpec, k: int, cap: int = PRODUCT_CAP) -> BlockDn
     dyadic = DyadicPmf.from_code(code)
 
     avg_weight = _coordinate_sum(dyadic.probs.probs, spec.m, k, spec.w)
-    rate = entropy(dyadic.probs) / avg_weight
+    # + 0.0 turns the -0.0 entropy of a single-leaf code into 0.0
+    rate = entropy(dyadic.probs) / avg_weight + 0.0
 
     w_min = float(spec.w.min())
     return BlockDncReport(

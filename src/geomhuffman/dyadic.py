@@ -25,6 +25,8 @@ from .pmf import Pmf, _checked_weights
 INF = math.inf
 
 MAX_TREE_LEN = 1024  # hard cap on finite lengths (2.0**-l stays exact well below this)
+# length entries by depth, 0..MAX_TREE_LEN, with inf last so that depth -1 picks it
+_DEPTH_ENTRIES = np.array([*range(MAX_TREE_LEN + 1), INF], dtype=object)
 ENUM_MAX_SYMBOLS = 12
 ENUM_MAX_DEPTH = 12
 
@@ -76,7 +78,7 @@ def _raise_first_error(entries: tuple, max_len: int):
             raise GuardExceededError(f"length {entry} exceeds cap {max_len}")
 
 
-def _kraft_units(hist: Counter) -> tuple:
+def _kraft_units(hist: dict) -> tuple:
     """Exact Kraft sum of a length histogram as (units, L): the sum is
     units / 2**L with L the largest length, so a full code has
     units == 2**L."""
@@ -117,6 +119,39 @@ class CodeLengths:
             )
         object.__setattr__(self, "lengths", entries)
 
+    @classmethod
+    def _from_depths(cls, depths: np.ndarray) -> "CodeLengths":
+        """The code of an int64 depth array, -1 marking dropped symbols.
+
+        Accepts and rejects what the constructor does for the tuple with
+        inf in place of each -1, with the same errors, and stores the same
+        entries (Python ints and inf), without a Python step per symbol:
+        the depths' histogram, over at most MAX_TREE_LEN + 2 bins, goes
+        through the same exact Kraft check.
+        """
+        if depths.size == 0:
+            raise ValueError("empty length vector")
+        if int(depths.min()) < -1:
+            raise ValueError("lengths must be nonnegative")
+        if int(depths.max()) > MAX_TREE_LEN:
+            first = int(depths[np.argmax(depths > MAX_TREE_LEN)])
+            raise GuardExceededError(f"length {first} exceeds cap {MAX_TREE_LEN}")
+        # bin 0 counts the dropped symbols
+        counts = np.bincount(depths + 1)[1:].tolist()
+        hist = {length: n for length, n in enumerate(counts) if n}
+        if not hist:
+            raise ValueError("need at least one finite length")
+        entries = tuple(_DEPTH_ENTRIES[depths].tolist())
+        units, deepest = _kraft_units(hist)
+        if units != 1 << deepest:
+            raise ValueError(
+                f"lengths {entries} have Kraft sum {_reduced(units, deepest)}, "
+                "expected exactly 1"
+            )
+        code = cls.__new__(cls)
+        object.__setattr__(code, "lengths", entries)
+        return code
+
     @property
     def m(self) -> int:
         return len(self.lengths)
@@ -150,7 +185,13 @@ class DyadicPmf:
 
     @classmethod
     def from_code(cls, code: CodeLengths) -> "DyadicPmf":
-        return cls(code, Pmf._exact(np.exp2(-np.array(code.lengths, dtype=np.float64))))
+        return cls(code, Pmf._exact(_dyadic_probs(code.lengths)))
+
+
+def _dyadic_probs(lengths) -> np.ndarray:
+    """2**(-l) per entry of a length vector, 0.0 where it is inf; exact
+    when every finite l is at most MAX_TREE_LEN."""
+    return np.exp2(-np.array(lengths, dtype=np.float64))
 
 
 def canonical_codewords(code: CodeLengths) -> tuple:

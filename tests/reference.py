@@ -1,9 +1,9 @@
 """Reference implementations kept only for the tests.
 
 These are the heap-based ``ghc`` and ``huffman`` tree builders, the
-per-element Kraft-sum fold and the entry-by-entry ``CodeLengths`` check
-that the package used before its two-queue builder and histogram Kraft
-check, the LEC loop that validated each code's dyadic PMF (on the
+per-symbol greedy cutoff of ``gcc``, the per-element Kraft-sum fold and
+the entry-by-entry ``CodeLengths`` check that the package used before its
+two-queue builder, histogram walk and histogram Kraft check, the LEC loop that validated each code's dyadic PMF (on the
 package's own capacity solve), the Blahut-Arimoto loop that built and
 validated its result on every iteration, the brute-force oracle as it was before its scan was shared
 with ``brute_force_optima``, and the matcher as it was before its two
@@ -152,8 +152,36 @@ def _with_divergence(lengths: tuple, x) -> tuple:
     return CodeLengths(lengths), kl_divergence(p, as_weights(x))
 
 
+def gcc_lengths(q: Pmf) -> tuple:
+    """Length tuple of the greedy floor-of-log cutoff, one symbol at a time
+    (no CodeLengths validation): a running exact Kraft sum over q sorted
+    descending, stopped when it reaches 1."""
+    arr = q.probs
+    order = np.argsort(-arr, kind="stable")
+    order = order[arr[order] > 0.0]
+    lengths = [INF] * arr.size
+    units, scale = 0, 0  # the Kraft sum so far is units / 2**scale
+    for sym in order.tolist():
+        mant, e = math.frexp(float(arr[sym]))
+        length = max(1 - e if mant == 0.5 else -e, 0)  # floor(-log2 q)
+        if length > scale:
+            units <<= length - scale
+            scale = length
+        units += 1 << (scale - length)
+        if units > 1 << scale:
+            raise RuntimeError("internal consistency error: greedy Kraft sum overshot 1")
+        lengths[sym] = length
+        if units == 1 << scale:
+            return tuple(lengths)
+    raise RuntimeError("internal consistency error: exact Kraft equality never reached")
+
+
 def ghc(x) -> tuple:
     return _with_divergence(ghc_lengths(x), x)
+
+
+def gcc(q: Pmf) -> tuple:
+    return _with_divergence(gcc_lengths(q), q.probs)
 
 
 def huffman(x) -> tuple:
@@ -245,10 +273,11 @@ def lec(spec: DncSpec, tol: float = 1e-12, max_iter: int = 1000) -> LecResult:
     R = rate(p) / C.  The divergence D(p || p*^R), taken against the tilt
     that built p, equals (R - R_new) * C * average_weight: it is negative
     while the new code still raises the rate and vanishes exactly at the
-    fixed point.  Iteration stops when its magnitude falls below tol or
-    when R stops moving (the |dR| fallback covers exact ties between
-    distinct optimal codes).  The returned R is the returned code's own
-    rate divided by C.
+    fixed point.  Iteration stops when R stops moving (the |dR| test
+    covers exact ties between distinct optimal codes) or, from the second
+    pass on, when |D| falls below tol; from there on, a code whose rate is
+    below R (a tie broken the other way) ends it with the code before.
+    The returned R is the returned code's own rate divided by C.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError("tol must be finite and positive")
@@ -263,10 +292,14 @@ def lec(spec: DncSpec, tol: float = 1e-12, max_iter: int = 1000) -> LecResult:
         dyadic = DyadicPmf.from_code(code)
         rate = entropy_per_weight(dyadic.probs, spec)
         r_new = rate / cap.C
-        last = LecResult(R=r_new, lengths=code, rate=rate, iterations=iteration, solved=cap)
-        if abs(div) <= tol or abs(r_new - R) <= 1e-12:
+        result = LecResult(R=r_new, lengths=code, rate=rate, iterations=iteration, solved=cap)
+        if abs(r_new - R) <= 1e-12:
+            return result
+        if iteration > 1 and r_new < R:
             return last
-        R = r_new
+        if iteration > 1 and abs(div) <= tol:
+            return result
+        last, R = result, r_new
     raise ConvergenceError(
         f"LEC did not converge within {max_iter} iterations", best=last
     )

@@ -223,6 +223,16 @@ class TestSubcommands:
         assert report["R"] == pytest.approx(1.0, abs=1e-15)
         assert report["kl_bits"] == pytest.approx(0.0, abs=1e-12)
 
+    def test_dnc_block_single_leaf_rate_is_positive_zero(self, capsys, tmp_path):
+        # the block code keeps one leaf, whose entropy is -0.0; the rate
+        # used to print as -0
+        path = tmp_path / "w.json"
+        path.write_text('{"type": "dnc", "weights": [1, 1e308]}')
+        code, out, err = run(capsys, "dnc", str(path), "--block", "2")
+        assert code == 0, err
+        assert '"rate": 0,' in out
+        assert "rate=0.000000" in err
+
     def test_match_and_dematch_inverse(self, capsys, specs, tmp_path):
         codebook = tmp_path / "cb.tsv"
         code, _, _ = run(capsys, "ghc", specs["pmf"], "--codebook", str(codebook))

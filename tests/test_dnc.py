@@ -162,6 +162,13 @@ class TestDncCapacity:
         with pytest.raises(ValueError, match="out of float range"):
             dnc_capacity(DncSpec(np.array([5e-324, 5e-324])))
 
+    def test_unscalable_root_above_the_largest_float_is_value_error(self):
+        # 1e308 keeps the subnormal weights from being scaled up, and the
+        # root lies above the largest float; it used to come back as that
+        # float, and the residual check raised RuntimeError
+        with pytest.raises(ValueError, match="out of float range"):
+            dnc_capacity(DncSpec(np.array([1e308, 5e-324, 5e-324])))
+
 
 class TestEntropyPerWeight:
     def test_degenerate(self):
@@ -283,6 +290,19 @@ class TestLec:
         assert res.rate >= 1.0677966  # 1.067797 to six places
         assert _one_more_step_rate(spec, res) <= res.rate
         assert res.R == res.rate / dnc_capacity(spec).C
+
+    @pytest.mark.parametrize("e", [15, 16, 17, 20, 100, 308])
+    def test_weights_decades_apart_reach_a_positive_rate(self, e):
+        # the first pass gives the one-leaf code (0, inf), whose D from
+        # p* is below tol (0.0 from 17 decades, where p*_0 rounds to 1);
+        # from 17 decades the code (1, 1) and (0, inf) then tie at the
+        # GHC drop boundary, and (1, 1) is the fixed point
+        spec = DncSpec(np.array([1.0, 10.0**e]))
+        res = lec(spec)
+        assert res.lengths.lengths == (1, 1)
+        assert res.rate > 0.0
+        assert res.R == res.rate / res.solved.C
+        assert _one_more_step_rate(spec, res) <= res.rate
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geomhuffman import (
     INF,
@@ -12,6 +14,7 @@ from geomhuffman import (
     brute_force_min_kl,
     brute_force_optima,
     canonical_codewords,
+    ghc,
     canonical_tree,
     codebook_text,
     enumerate_full_codes,
@@ -80,6 +83,75 @@ class TestCodeLengths:
     def test_accepts_integer_floats(self):
         code = CodeLengths((1.0, 1))
         assert code.lengths == (1, 1)
+
+
+def _from_depths_outcome(depths):
+    """CodeLengths._from_depths on an int64 array, and the public
+    constructor on the tuple with inf for each -1: the stored entries or
+    the exception type and message."""
+    outcomes = []
+    for build in (
+        lambda: CodeLengths._from_depths(np.array(depths, dtype=np.int64)),
+        lambda: CodeLengths(tuple(INF if d == -1 else d for d in depths)),
+    ):
+        try:
+            code = build()
+        except (ValueError, GuardExceededError) as exc:
+            outcomes.append((type(exc), str(exc)))
+        else:
+            outcomes.append((code, hash(code), [type(e) for e in code.lengths]))
+    return outcomes
+
+
+class TestFromDepths:
+    """The int64 constructor behind large ghc, huffman and gcc calls
+    accepts, rejects and stores what the public constructor does."""
+
+    @pytest.mark.parametrize(
+        "depths, error, message",
+        [
+            ([1, 2], ValueError, r"^lengths \(1, 2\) have Kraft sum 3/2\^2, expected exactly 1$"),
+            ([1, 2, 2, 3, -1], ValueError, r"Kraft sum 9/2\^3, expected exactly 1$"),
+            ([2, 2, 2, 2, 2], ValueError, r"Kraft sum 5/2\^2, expected exactly 1$"),
+            ([1, -1, 1025, 2, 2], GuardExceededError, "^length 1025 exceeds cap 1024$"),
+            ([-1, -1], ValueError, "^need at least one finite length$"),
+            ([], ValueError, "^empty length vector$"),
+        ],
+    )
+    def test_rejects_as_the_constructor(self, depths, error, message):
+        got, want = _from_depths_outcome(depths)
+        assert got == want
+        with pytest.raises(error, match=message):
+            CodeLengths._from_depths(np.array(depths, dtype=np.int64))
+
+    def test_depths_below_minus_one_rejected(self):
+        with pytest.raises(ValueError, match="lengths must be nonnegative"):
+            CodeLengths._from_depths(np.array([1, 1, -2], dtype=np.int64))
+
+    @pytest.mark.parametrize(
+        "depths", [[0], [-1, 0, -1], [1, 1], [1, -1, 2, 2], [MAX_TREE_LEN] * 2 + list(range(MAX_TREE_LEN - 1, 0, -1))]
+    )
+    def test_same_code_as_the_constructor(self, depths):
+        got, want = _from_depths_outcome(depths)
+        assert got == want
+        code = got[0]
+        assert code == CodeLengths(tuple(INF if d == -1 else d for d in depths))
+        assert all(type(e) is int or (type(e) is float and e == INF) for e in code.lengths)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.integers(-1, 64), st.just(-1), st.integers(1020, 1030)), max_size=12))
+    def test_any_depths(self, depths):
+        got, want = _from_depths_outcome(depths)
+        assert got == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(min_value=0.0, max_value=1e3), min_size=1, max_size=600))
+    def test_full_codes(self, xs):
+        if not any(x > 0.0 for x in xs):
+            return
+        lengths = ghc(np.array(xs))[0].lengths
+        got, want = _from_depths_outcome([-1 if e == INF else e for e in lengths])
+        assert got == want
 
 
 class TestDyadicPmf:

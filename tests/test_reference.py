@@ -29,6 +29,7 @@ from geomhuffman import (
     canonical_tree,
     demodulate,
     dnc_capacity,
+    gcc,
     ghc,
     huffman,
     lec,
@@ -164,17 +165,73 @@ class TestBuilderMatchesHeap:
         assert spy.call_count == 2
 
 
+@st.composite
+def _large_weights(draw):
+    """512 to 5000 weights, across _SCATTER_MIN_SYMBOLS and
+    BATCH_MIN_LEAVES: Dirichlet, exact ties, pairs exactly 4x apart (the
+    GHC drop boundary) or powers of two, with up to 600 of them zero."""
+    n = draw(st.integers(512, 5000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["dirichlet", "ties", "4x apart", "dyadic"]))
+    if kind == "dirichlet":
+        x = rng.dirichlet(np.full(n, draw(st.sampled_from([0.3, 1.0, 10.0]))))
+    elif kind == "ties":
+        x = rng.choice([1.0, 2.0, 3.0, 4.0, 12.0], n)
+    elif kind == "4x apart":
+        x = rng.permutation(rng.uniform(1.0, 2.0, n) * 4.0 ** rng.integers(0, 3, n))
+        x[: n // 2] = x[n // 2 : 2 * (n // 2)] * 4.0
+    else:
+        x = 2.0 ** -rng.integers(0, 24, n).astype(np.float64)
+    zeros = draw(st.integers(0, min(n - 1, 600)))
+    x[rng.choice(n, zeros, replace=False)] = 0.0
+    return x
+
+
+def _same_bits(got, want):
+    """Same outcome: the same lengths, entry types and D bits, or the same
+    error."""
+    if got[0] != "ok" or want[0] != "ok":
+        assert got == want
+        return
+    (code, d), (ref_code, ref_d) = got[1], want[1]
+    assert code.lengths == ref_code.lengths
+    assert list(map(type, code.lengths)) == list(map(type, ref_code.lengths))
+    assert np.float64(d).tobytes() == np.float64(ref_d).tobytes()
+
+
+class TestLargeCodesMatchReference:
+    """ghc, huffman and gcc from _SCATTER_MIN_SYMBOLS symbols up, where the
+    code is checked from one int64 depth array, against the heap builders
+    and the per-symbol greedy cutoff."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(_large_weights())
+    def test_same_lengths_and_divergence_bits(self, x):
+        _same_bits(_outcome(ghc, x), _outcome(reference.ghc, x))
+        if int((x > 0.0).sum()) >= 2:
+            _same_bits(_outcome(huffman, x), _outcome(reference.huffman, x))
+        q = Pmf.normalized(x)
+        _same_bits(_outcome(gcc, q), _outcome(reference.gcc, q))
+
+    @pytest.mark.parametrize("name", ["zero weights", "4x apart", "dyadic ties", "3^11 product"])
+    def test_named_inputs(self, name):
+        x = _above_cutoff(name)
+        q = Pmf.normalized(x)
+        _same_bits(_outcome(gcc, q), _outcome(reference.gcc, q))
+
+
 def _both_builds(keys, ties, merge, drop):
     """The scalar two-queue depths, after checking that the batched rounds,
-    called on the same keys whatever their number, give the same ones; with
-    a run of 0, every round that has a third node above its key bound is
-    batched, so small inputs take the numpy steps too."""
+    called on the same keys whatever their number, give the same ones: an
+    int64 depth below 0 where the scalar loop gives inf, the same int
+    elsewhere.  With a run of 0, every round that has a third node above
+    its key bound is batched, so small inputs take the numpy steps too."""
     want = approximators._two_queue_depths(keys.tolist(), ties.tolist(), merge, drop)
     for run in (0, approximators._BATCH_RUN):
         with mock.patch.object(approximators, "_BATCH_RUN", run):
             got = approximators._batched_depths(keys, ties, merge, drop)
-        assert got.tolist() == want
-        assert list(map(type, got.tolist())) == list(map(type, want))
+        assert got.dtype == np.int64
+        assert [INF if depth < 0 else depth for depth in got.tolist()] == want
     return want
 
 
