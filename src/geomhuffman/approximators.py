@@ -226,7 +226,8 @@ def _tree_depths(keys: np.ndarray, ties: np.ndarray, merge, drop):
 
 def _code_and_divergence(order: np.ndarray, depths, arr: np.ndarray) -> tuple:
     """CodeLengths in symbol order from the depths of the first len(depths)
-    symbols of order (the others are dropped), and D(p || arr).
+    symbols of order (the others are dropped), D(p || arr), and p, the
+    code's probabilities 2**-l as a float64 array.
 
     depths is a list with inf for dropped leaves, or an int64 array with
     negative depths for them.  Below _SCATTER_MIN_SYMBOLS symbols the code
@@ -241,7 +242,8 @@ def _code_and_divergence(order: np.ndarray, depths, arr: np.ndarray) -> tuple:
         for sym, depth in zip(order.tolist(), depths):
             entries[sym] = depth
         code = CodeLengths(tuple(entries))
-        return code, kl_divergence(_dyadic_probs(code.lengths), arr)
+        p = _dyadic_probs(code.lengths)
+        return code, kl_divergence(p, arr), p
     if type(depths) is list:  # the scalar loop's, inf where dropped
         depths = np.array(depths, dtype=np.float64)
         depths[depths == INF] = -1.0
@@ -250,7 +252,7 @@ def _code_and_divergence(order: np.ndarray, depths, arr: np.ndarray) -> tuple:
     d[order[:depths.size]] = np.maximum(depths, -1)
     code = CodeLengths._from_depths(d)
     p = np.exp2(-d, out=np.zeros(d.size), where=d >= 0)  # the bits of 2.0**-l
-    return code, kl_divergence(p, arr)
+    return code, kl_divergence(p, arr), p
 
 
 def _ghc_merge(ua: float, ub: float) -> float:
@@ -294,6 +296,12 @@ def ghc(x) -> tuple:
     Returns (CodeLengths in original symbol order, divergence in bits).
     Zero-weight symbols always get length inf.
     """
+    return _ghc_with_probs(x)[:2]
+
+
+def _ghc_with_probs(x) -> tuple:
+    """ghc's code and divergence, and the code's probabilities 2**-l as the
+    float64 array the build computed them in."""
     arr = _checked_weights(x)
     # u_i = -log2(x_i), +inf for zero weights, which sort last; the merge
     # rules use only differences of u, so tiny weights stay workable
@@ -327,7 +335,7 @@ def huffman(x) -> tuple:
     # pop order: smallest weight first, among equal weights the higher index
     order = (arr.size - 1) - np.argsort(arr[::-1], kind="stable")
     depths = _tree_depths(-arr[order], order, _huffman_merge, None)
-    return _code_and_divergence(order, depths, arr)
+    return _code_and_divergence(order, depths, arr)[:2]
 
 
 def _floor_neg_log2(q: np.ndarray) -> np.ndarray:
@@ -369,4 +377,4 @@ def gcc(q: Pmf) -> tuple:
     ends = np.flatnonzero(positive & (lengths == level))
     ends = ends[np.argsort(-arr[ends], kind="stable")[:need]]
     kept = np.concatenate((np.flatnonzero(positive & (lengths < level)), ends))
-    return _code_and_divergence(kept, lengths[kept], arr)
+    return _code_and_divergence(kept, lengths[kept], arr)[:2]

@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .approximators import ghc
-from .dyadic import CodeLengths, DyadicPmf
+from .approximators import _ghc_with_probs
+from .dyadic import CodeLengths
 from .errors import ConvergenceError, DimensionMismatchError, SupportConditionError
 from .pmf import PRODUCT_CAP, Pmf, _check_block, _coordinate_sum, kl_divergence, product_pmf
 
@@ -247,9 +247,8 @@ def optimize_block_dmc(
     res = blahut_arimoto(dmc, tol=tol, max_iter=max_iter)
     p_star = clamp_support(res.p_star)
     target = product_pmf(p_star, k, cap=cap)
-    code, d_total = ghc(target.probs)
-    dyadic = DyadicPmf.from_code(code)
-    mi = _block_mutual_information(dmc.h, dyadic.probs.probs, k)
+    code, d_total, probs = _ghc_with_probs(target.probs)
+    mi = _block_mutual_information(dmc.h, probs, k)
     return BlockDmcReport(
         block=k,
         capacity=res.C,

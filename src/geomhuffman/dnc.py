@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .approximators import ghc
-from .dyadic import CodeLengths, DyadicPmf, _dyadic_probs
+from .approximators import _ghc_with_probs
+from .dyadic import CodeLengths
 from .errors import ConvergenceError, DimensionMismatchError
 from .pmf import PRODUCT_CAP, Pmf, _coordinate_sum, as_weights, entropy, product_pmf
 
@@ -246,9 +246,8 @@ def lec(spec: DncSpec, tol: float = 1e-12, max_iter: int = 1000) -> LecResult:
     R = 1.0
     last: "LecResult | None" = None
     for iteration in range(1, max_iter + 1):
-        code, div = ghc(weighted_target(capacity.p_star, R))
-        # the code's dyadic PMF, whose lengths CodeLengths has already checked
-        rate = entropy_per_weight(_dyadic_probs(code.lengths), spec)
+        code, div, probs = _ghc_with_probs(weighted_target(capacity.p_star, R))
+        rate = entropy_per_weight(probs, spec)
         r_new = rate / capacity.C
         result = LecResult(R=r_new, lengths=code, rate=rate, iterations=iteration, solved=capacity)
         if abs(r_new - R) <= R_TOL:
@@ -274,12 +273,11 @@ def optimize_block_dnc(spec: DncSpec, k: int, cap: int = PRODUCT_CAP) -> BlockDn
     """
     capacity = dnc_capacity(spec)
     target = product_pmf(capacity.p_star, k, cap=cap)
-    code, d_total = ghc(target.probs)
-    dyadic = DyadicPmf.from_code(code)
+    code, d_total, probs = _ghc_with_probs(target.probs)
 
-    avg_weight = _coordinate_sum(dyadic.probs.probs, spec.m, k, spec.w)
+    avg_weight = _coordinate_sum(probs, spec.m, k, spec.w)
     # + 0.0 turns the -0.0 entropy of a single-leaf code into 0.0
-    rate = entropy(dyadic.probs) / avg_weight + 0.0
+    rate = entropy(Pmf._exact(probs)) / avg_weight + 0.0
 
     w_min = float(spec.w.min())
     return BlockDncReport(

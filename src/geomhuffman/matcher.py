@@ -11,6 +11,7 @@ platform, so match reports are comparable across machines.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,11 @@ from .errors import DegenerateTreeError, GuardExceededError
 from .pmf import Pmf
 
 SYMBOL_CAP = 1 << 24  # max number of symbols simulate may emit and hold
+_CHUNK_BITS = 1 << 16  # bits parsed per numpy pass
+_MIN_WINDOW, _MAX_WINDOW = 8, 16  # bounds on the parse tables' window width
+# hop of a window whose first codeword is longer than the window: it ends
+# the hop loop, which then walks that codeword
+_LONG = 1 << 30
 _MASK64 = np.uint64(0xFFFFFFFFFFFFFFFF)
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -67,14 +73,14 @@ class MatchReport:
     empirical: Pmf
 
 
-def _coerce_bits(bits) -> bytes:
+def _coerce_bits(bits) -> np.ndarray:
     if isinstance(bits, str):
         arr = np.frombuffer(bits.encode("ascii"), dtype=np.uint8) - ord("0")
     else:
         arr = np.asarray(bits, dtype=np.uint8).reshape(-1)
     if arr.size and arr.max() > 1:
         raise ValueError("bits must be 0 or 1")
-    return arr.tobytes()
+    return arr
 
 
 def _require_matcher(tree: CodeTree):
@@ -84,38 +90,163 @@ def _require_matcher(tree: CodeTree):
         )
 
 
-def _parse(tree: CodeTree, chunks, limit: int) -> tuple:
-    """Greedy prefix parse of a sequence of bit chunks from the root of the
-    tree, stopping after limit symbols.
+class _Tables:
+    """Lookup tables of a code tree over the 2**width values of a window of
+    width bits, first bit most significant.
 
-    Returns (symbol list, per-symbol counts, bits consumed).  Each emitted
+    width is the deepest codeword's length, clamped to [8, 16], so there
+    are at most 65536 window values.  Per value, ``hop`` is the number of
+    bits in all the whole codewords that fit in the window, parsed from its
+    start, and the row of ``fit_syms`` holds their symbols, -1 after the
+    last.  A window whose first codeword is longer than the window has hop
+    _LONG, and ``long_nodes`` maps it to the depth-width node the codeword
+    goes on from.
+    """
+
+    def __init__(self, tree: CodeTree):
+        kept = [(s, w) for s, w in enumerate(tree.codewords) if w is not None]
+        syms = np.fromiter((s for s, _ in kept), np.int64, len(kept))
+        lens = np.fromiter((len(w) for _, w in kept), np.int64, len(kept))
+        self.deepest = int(lens.max())
+        width = self.width = max(_MIN_WINDOW, min(_MAX_WINDOW, self.deepest))
+        heads = np.fromiter((int(w[:width], 2) for _, w in kept), np.int64, len(kept))
+        self.depths = np.zeros(len(tree.codewords), np.int64)
+        self.depths[syms] = lens
+
+        # a codeword of at most width bits covers the windows that start
+        # with it, and a depth-width node above longer codewords covers one
+        # window; fullness of the tree makes these ranges tile every window
+        short = lens <= width
+        prefixes = np.unique(heads[~short])
+        order = np.argsort(np.concatenate((heads[short] << (width - lens[short]), prefixes)))
+        sizes = np.concatenate((1 << (width - lens[short]), np.ones_like(prefixes)))[order]
+        none = np.zeros_like(prefixes)
+        # the first codeword's length and symbol, 0 and -1 past the window
+        first_len = np.concatenate((lens[short], none))[order].astype(np.uint32).repeat(sizes)
+        first_sym = np.concatenate((syms[short], none - 1))[order].astype(np.int32).repeat(sizes)
+        self.long_nodes = {}
+        if prefixes.size:
+            self.zero = [c[0] for c in tree.children]
+            self.one = [c[1] for c in tree.children]
+            for prefix in prefixes.tolist():
+                node = tree.root
+                for bit in format(prefix, f"0{width}b"):
+                    node = self.one[node] if bit == "1" else self.zero[node]
+                self.long_nodes[prefix] = node
+
+        # one round per codeword: the rest of a window, shifted up and
+        # padded with zeros, starts with the next codeword exactly when
+        # that codeword fits in the rest
+        self.hop = np.zeros(1 << width, np.uint32)
+        self.fit_syms = np.full((1 << width, max(1, width // int(lens.min()))), -1, np.int32)
+        active = np.arange(1 << width, dtype=np.uint32)
+        for column in range(self.fit_syms.shape[1]):
+            rest = (active << self.hop[active]) & ((1 << width) - 1)
+            step = first_len[rest]
+            fits = (step > 0) & (self.hop[active] + step <= width)
+            active, rest = active[fits], rest[fits]
+            self.hop[active] += step[fits]
+            self.fit_syms[active, column] = first_sym[rest]
+        self.hop[self.hop == 0] = _LONG
+
+    def parse(self, buf: np.ndarray, count: int) -> tuple:
+        """Parse buf from its start until a codeword starts at or after bit
+        count; buf holds at least count + width - 1 bits.
+
+        Returns the symbols as an int32 array, in stream order, and the
+        bit the parse stopped at.  A codeword that runs past the end of
+        buf stops the parse at its start.
+        """
+        if count <= 0:
+            return np.zeros(0, np.int32), 0
+        windows = _windows(buf, self.width, count)
+        hops = memoryview(self.hop[windows])
+        visits: list = []
+        add = visits.append
+        longs = {}
+        pos = 0
+        while True:
+            # the one Python loop: a step per window, over all its codewords
+            while pos < count:
+                add(pos)
+                pos += hops[pos]
+            if pos < _LONG:
+                break
+            start = visits[-1]
+            sym, pos = self._walk(buf, start, int(windows[start]))
+            if sym is None:
+                visits.pop()
+                break
+            longs[len(visits) - 1] = sym
+        rows = self.fit_syms[windows[np.fromiter(visits, np.intp, len(visits))]]
+        if longs:
+            rows[list(longs), 0] = list(longs.values())
+        return rows[rows >= 0], pos
+
+    def _walk(self, buf: np.ndarray, start: int, window: int) -> tuple:
+        """(symbol, end) of the codeword longer than the window that starts
+        at bit start of buf, walked on bit by bit from its depth-width
+        node; (None, start) if buf ends inside it."""
+        node = self.long_nodes[window]
+        first = start + self.width
+        for end, bit in enumerate(buf[first:start + self.deepest].tobytes(), first + 1):
+            node = self.one[node] if bit else self.zero[node]
+            if node < 0:
+                return -node - 1, end
+        return None, start
+
+
+def _windows(buf: np.ndarray, width: int, count: int) -> np.ndarray:
+    """The width-bit window at each of the first count bits of buf, first
+    bit most significant, from big-endian 32-bit words at each byte."""
+    nbytes = (count + 7) // 8
+    packed = np.zeros(nbytes + 3, np.uint32)
+    bytes_ = np.packbits(buf[:count + width - 1])
+    packed[:bytes_.size] = bytes_
+    words = packed[:nbytes] << 24 | packed[1:nbytes + 1] << 16
+    words |= packed[2:nbytes + 2] << 8 | packed[3:]
+    shifts = np.arange(32 - width, 24 - width, -1, dtype=np.uint32)
+    windows = words[:, None] >> shifts
+    windows &= (1 << width) - 1
+    return windows.reshape(-1)[:count]
+
+
+def _parse(tree: CodeTree, chunks, limit: "int | None" = None) -> tuple:
+    """Greedy prefix parse of a sequence of bit chunks from the root of the
+    tree, stopping after limit symbols if a limit is given.
+
+    Returns (symbol array, per-symbol counts, bits consumed).  Each emitted
     symbol consumed exactly its codeword, so the bits consumed are the total
     codeword length of the symbols; a trailing partial codeword is not
-    counted.
+    counted.  A codeword that straddles two chunks is carried into the
+    next one; when the chunks run out, their last bits are parsed padded
+    with zeros, keeping the codewords that end before the padding.
     """
-    symbols = _walk(tree, chunks, limit)
-    counts = np.bincount(np.array(symbols, dtype=np.intp), minlength=tree.lengths.m)
-    depths = np.array([len(w) if w is not None else 0 for w in tree.codewords], dtype=np.int64)
-    return symbols, counts, int(counts @ depths)
-
-
-def _walk(tree: CodeTree, chunks, limit: int) -> list:
-    # the one per-bit loop; fullness of the tree guarantees every bit path
-    # extends to a leaf
-    zero = [c[0] for c in tree.children]
-    one = [c[1] for c in tree.children]
-    root = tree.root
-    node = root
-    symbols: list = []
+    tables = _Tables(tree)
+    width = tables.width
+    parts = []
+    total = 0
+    carry = np.zeros(0, np.uint8)
     for chunk in chunks:
-        for bit in chunk:
-            node = one[node] if bit else zero[node]
-            if node < 0:
-                symbols.append(-node - 1)
-                if len(symbols) == limit:
-                    return symbols
-                node = root
-    return symbols
+        buf = np.concatenate((carry, chunk))
+        count = buf.size - width + 1
+        if limit is not None:
+            # a symbol takes at most deepest bits, so this many bits hold
+            # the symbols still wanted
+            count = min(count, (limit - total) * tables.deepest)
+        syms, end = tables.parse(buf, count)
+        parts.append(syms)
+        total += syms.size
+        carry = buf[end:]
+        if limit is not None and total >= limit:
+            break
+    else:
+        syms, _ = tables.parse(np.concatenate((carry, np.zeros(width - 1, np.uint8))), carry.size)
+        ends = np.cumsum(tables.depths[syms])
+        parts.append(syms[:np.searchsorted(ends, carry.size, side="right")])
+    symbols = np.concatenate(parts)[:limit]
+    counts = np.bincount(symbols, minlength=tree.lengths.m)
+    return symbols, counts, int(counts @ tables.depths)
 
 
 def modulate(tree: CodeTree, bits) -> tuple:
@@ -126,29 +257,54 @@ def modulate(tree: CodeTree, bits) -> tuple:
     """
     _require_matcher(tree)
     stream = _coerce_bits(bits)
-    symbols, _, consumed = _parse(tree, (stream,), len(stream))
-    return symbols, consumed
+    chunks = (stream[i:i + _CHUNK_BITS] for i in range(0, stream.size, _CHUNK_BITS))
+    symbols, _, consumed = _parse(tree, chunks)
+    return symbols.tolist(), consumed
+
+
+def _checked_symbol(words: tuple, s) -> int:
+    """Symbol s as an int, or the ValueError that names what is wrong with it."""
+    if type(s) is not int:
+        if isinstance(s, bool) or not isinstance(s, (int, np.integer)):
+            raise ValueError(f"symbol {s!r} is not an integer")
+        s = int(s)
+    if s < 0 or s >= len(words):
+        raise ValueError(f"symbol index {s} out of range")
+    if words[s] is None:
+        raise ValueError(f"symbol {s} was dropped from the code tree")
+    return s
+
+
+def _kept_plain_ints(words: tuple, symbols) -> bool:
+    """Whether every symbol is a plain int that indexes a kept codeword,
+    from one numpy test over the whole sequence."""
+    if not set(map(type, symbols)) <= {int}:
+        return False
+    try:
+        idx = np.fromiter(symbols, np.int64, len(symbols))
+    except OverflowError:  # an index past int64 is out of range
+        return False
+    # kept codewords, then False for every index out of range
+    kept = np.append(np.fromiter((w is not None for w in words), bool, len(words)), False)
+    return bool(kept[np.where((idx < 0) | (idx >= len(words)), len(words), idx)].all())
 
 
 def demodulate(tree: CodeTree, symbols) -> str:
     """Concatenated codewords of a symbol sequence, as a '0'/'1' string.
 
     Symbols are Python or numpy integers; anything else, bools included,
-    raises ValueError rather than being rounded or parsed.
+    raises ValueError rather than being rounded or parsed.  The first bad
+    symbol in the sequence names the error.
     """
     words = tree.codewords
-    out = []
-    for s in symbols:
-        if type(s) is not int:
-            if isinstance(s, bool) or not isinstance(s, (int, np.integer)):
-                raise ValueError(f"symbol {s!r} is not an integer")
-            s = int(s)
-        if s < 0 or s >= len(words):
-            raise ValueError(f"symbol index {s} out of range")
-        if words[s] is None:
-            raise ValueError(f"symbol {s} was dropped from the code tree")
-        out.append(words[s])
-    return "".join(out)
+    if type(symbols) not in (list, tuple):
+        symbols = list(symbols)
+    if not _kept_plain_ints(words, symbols):
+        # numpy integers are converted here, and the first bad symbol raises
+        symbols = [_checked_symbol(words, s) for s in symbols]
+    # a list built by a comprehension joins in half the time of a map of
+    # words.__getitem__, which join would turn into a list first
+    return "".join([words[s] for s in symbols])
 
 
 def simulate(tree: CodeTree, n_symbols: int, seed: int) -> MatchReport:
@@ -164,12 +320,12 @@ def simulate(tree: CodeTree, n_symbols: int, seed: int) -> MatchReport:
     if n_symbols > SYMBOL_CAP:
         raise GuardExceededError(f"match guard: {n_symbols} symbols, cap is {SYMBOL_CAP}")
     source = BitSource(seed)
-    chunks = iter(lambda: source.take(1 << 16).tobytes(), None)
+    chunks = (source.take(_CHUNK_BITS) for _ in itertools.count())
     symbols, counts, consumed = _parse(tree, chunks, n_symbols)
     return MatchReport(
         n_symbols=n_symbols,
         seed=seed,
-        symbols=tuple(symbols),
+        symbols=tuple(symbols.tolist()),
         symbol_counts=tuple(counts.tolist()),
         bits_consumed=consumed,
         empirical=Pmf.normalized(counts.astype(np.float64)),

@@ -7,7 +7,9 @@ mix valid canonical codes with duplicate symbols, gaps, prefix clashes
 and random bit strings; flags take valid and invalid values.  Every run
 must end in exit 0, 1 or 2 without an exception escaping ``main``: exit
 0 with parseable stdout, exit 1 or 2 with empty stdout and exactly one
-``error:`` line on stderr.  Sizes are small, so every example ends
+``error:`` line on stderr.  ``match`` on the codebooks of random full
+codes up to depth 200 must exit 0, and ``dematch`` of its symbols must
+give back the seed's bits.  Sizes are small, so every example ends
 within a second or so.
 """
 
@@ -21,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geomhuffman import canonical_tree, codebook_text, ghc
+from geomhuffman import BitSource, canonical_tree, codebook_text, ghc
 from geomhuffman.cli import main
 
 # JSON texts of entries that are not numbers, and number tokens that json
@@ -193,6 +195,44 @@ def test_small_integer_dncs_succeed(workdir, weights, base, flags):
     code, out, err = run_main(["dnc", str(path)] + flags)
     assert code == 0, err
     check_outcome(code, out, err)
+
+
+@st.composite
+def deep_codebook_texts(draw):
+    """The codebook of a random full code up to depth 200, grown by
+    splitting first the deepest leaf a drawn number of times, then drawn
+    leaves; the leaves go to drawn symbol indices, in drawn row order."""
+    leaves = [""]
+    for _ in range(draw(st.integers(1, 200))):
+        word = leaves.pop()
+        leaves += [word + "0", word + "1"]
+    for split in draw(st.lists(st.integers(0, 2**20), max_size=60)):
+        i = split % len(leaves)
+        if len(leaves[i]) < 200:
+            word = leaves.pop(i)
+            leaves += [word + "0", word + "1"]
+    symbols = draw(st.lists(st.integers(0, 2 * len(leaves)), min_size=len(leaves), max_size=len(leaves), unique=True))
+    rows = [f"{sym}\t{word}" for sym, word in zip(symbols, leaves)]
+    return "\n".join(draw(st.permutations(rows))) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    text=deep_codebook_texts(),
+    n=st.one_of(st.integers(1, 50), st.integers(1, 5000)),
+    seed=st.one_of(st.integers(0, 2**64 - 1), st.integers(-(2**70), 2**70)),
+)
+def test_match_of_deep_codes_dematches_to_the_seed_bits(workdir, text, n, seed):
+    path = workdir / "deep.tsv"
+    path.write_text(text)
+    code, out, err = run_main(["match", str(path), "--symbols", str(n), "--seed", str(seed)])
+    assert code == 0, err
+    rep = json.loads(out)
+    assert rep["n_symbols"] == len(rep["symbols"]) == sum(rep["counts"]) == n
+    code, out, err = run_main(["dematch", str(path), "--symbols", ",".join(map(str, rep["symbols"]))])
+    assert code == 0, err
+    bits = BitSource(seed).take(rep["bits_consumed"])
+    assert json.loads(out)["bits"] == "".join(map(str, bits.tolist()))
 
 
 # tokens int() reads as integers, though they are not plain decimal

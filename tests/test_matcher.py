@@ -104,6 +104,24 @@ class TestDemodulate:
         with pytest.raises(ValueError, match=re.escape(f"symbol {entry!r} is not an integer")):
             demodulate(TREE_122, [0, entry, 2.5])
 
+    @pytest.mark.parametrize(
+        "symbols, message",
+        [
+            ([0, 4, 9], "symbol 4 was dropped from the code tree"),
+            ([0, 9, 4], "symbol index 9 out of range"),
+            ([1, -1, 4], "symbol index -1 out of range"),
+            ((2, 5, -1), "symbol index 5 out of range"),
+            ([0, 2**70, 4], f"symbol index {2**70} out of range"),
+            ([0, 4, -(2**70)], "symbol 4 was dropped from the code tree"),
+            ([3, np.int64(4), 9], "symbol 4 was dropped from the code tree"),
+            ([0, 9, True], "symbol index 9 out of range"),
+            (iter([0, 1, 5, 4]), "symbol index 5 out of range"),
+        ],
+    )
+    def test_first_bad_symbol_names_the_error(self, symbols, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            demodulate(TREE_1233, symbols)
+
     def test_round_trip_random_sequences(self):
         rng = np.random.default_rng(51)
         for tree, kept in ((TREE_122, [0, 1, 2]), (TREE_1233, [0, 1, 2, 3])):

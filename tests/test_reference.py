@@ -1,7 +1,7 @@
 """The two-queue builder, the histogram Kraft check, the capacity solver's
-loop, the shared oracle scan, the one-pass matcher and the lean LEC step
-against the heap builders, per-element fold, per-iteration validating loop,
-separate oracle, buffered two-pass matcher and LEC they replaced, and the
+loop, the shared oracle scan, the table-driven matcher and the lean LEC
+step against the heap builders, per-element fold, per-iteration validating
+loop, separate oracle, per-bit matcher walks and LEC they replaced, and the
 report serializer against the element-by-element one (``reference.py``);
 the batched rounds of the two-queue builder against its scalar loop; and
 the log-space DNC capacity solve against its root bracketed in mpmath."""
@@ -21,11 +21,13 @@ from geomhuffman import (
     INF,
     BitSource,
     CodeLengths,
+    CodeTree,
     DmcSpec,
     DncSpec,
     Pmf,
     blahut_arimoto,
     brute_force_min_kl,
+    canonical_codewords,
     canonical_tree,
     demodulate,
     dnc_capacity,
@@ -645,6 +647,146 @@ class TestMatcherMatchesReference:
         word = tree.codewords[data.draw(st.sampled_from(kept))]
         tail = word[: data.draw(st.integers(0, len(word) - 1))]
         assert modulate(tree, bits + tail) == (symbols, len(bits))
+
+
+@st.composite
+def _deep_trees(draw):
+    """A full code tree grown by splitting leaves: first the deepest leaf,
+    a drawn number of times up to depth 80, then drawn leaves, so that
+    codewords longer than the parse window (at most 16 bits) and than 64
+    bits turn up.  The leaves go to the symbols in a drawn order, with
+    dropped symbols among them."""
+    leaves = [""]
+    for _ in range(draw(st.integers(1, 80))):
+        word = leaves.pop()
+        leaves += [word + "0", word + "1"]
+    for split in draw(st.lists(st.integers(0, 2**20), max_size=100)):
+        i = split % len(leaves)
+        if len(leaves[i]) < 80:
+            word = leaves.pop(i)
+            leaves += [word + "0", word + "1"]
+    words = list(draw(st.permutations(leaves)))
+    for _ in range(draw(st.integers(0, 3))):
+        words.insert(draw(st.integers(0, len(words))), None)
+    return CodeTree.from_codewords(words)
+
+
+def _chain(k, flip=False):
+    """The canonical tree of the chain code (1, 2, ..., k, k), its bits
+    flipped when flip is set: its deepest codewords are k ones (k zeros)."""
+    words = canonical_codewords(CodeLengths(tuple(range(1, k + 1)) + (k,)))
+    if flip:
+        words = tuple(w.translate(str.maketrans("01", "10")) for w in words)
+    return CodeTree.from_codewords(words)
+
+
+_EIGHT_THREE_BIT = canonical_tree(CodeLengths((3,) * 8))
+_FIVE = _full_tree([0.328, 0.32, 0.22, 0.11, 0.022])
+_DEEP_CHAIN = _chain(80)
+_table_trees = st.one_of(
+    _deep_trees(),
+    st.just(_EIGHT_THREE_BIT),
+    st.integers(1, 80).map(_chain),
+    st.integers(1, 80).map(lambda k: _chain(k, flip=True)),
+)
+
+
+def _check_simulate(tree, n, seed):
+    rep = simulate(tree, n, seed)
+    counts, consumed, empirical = reference.simulate(tree, n, seed)
+    symbols = reference.replayed_symbols(tree, seed, consumed)
+    assert rep.symbols == tuple(symbols)
+    assert all(type(s) is int for s in rep.symbols)
+    assert rep.symbol_counts == counts
+    assert rep.bits_consumed == consumed
+    assert np.array_equal(rep.empirical.probs, empirical.probs)
+    return symbols
+
+
+class TestTableParseMatchesReference:
+    """The table-driven parse, whose windows of up to 16 bits each take
+    one Python step for all the codewords in them, against the per-bit
+    walk it replaced: deep codes whose codewords outrun the window, limits
+    and streams that end inside a window or a codeword, and chunk
+    boundaries that codewords straddle."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_table_trees, st.one_of(st.integers(1, 40), st.integers(1, 3000)), _seeds)
+    @example(_DEEP_CHAIN, 3000, 1)
+    @example(_EIGHT_THREE_BIT, 1, 0)
+    @example(_FIVE, 3, 7)
+    def test_simulate(self, tree, n, seed):
+        _check_simulate(tree, n, seed)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_table_trees, st.data())
+    @example(_DEEP_CHAIN, None)
+    def test_modulate(self, tree, data):
+        # whole codewords of drawn symbols, so that the long ones turn up
+        # as often as the short ones, then drawn bits and a codeword's prefix
+        if data is None:
+            symbols, extra, cut = [79, 0, 80, 80, 1], [1] * 70, 40
+        else:
+            kept = [i for i, w in enumerate(tree.codewords) if w is not None]
+            symbols = data.draw(st.lists(st.sampled_from(kept), max_size=60))
+            extra = data.draw(st.lists(st.integers(0, 1), max_size=40))
+            cut = data.draw(st.integers(0, 200))
+        word = max(filter(None, tree.codewords), key=len)
+        bits = demodulate(tree, symbols) + "".join(map(str, extra)) + word[: min(cut, len(word) - 1)]
+        stream = np.frombuffer(bits.encode("ascii"), np.uint8) - ord("0")
+        got = modulate(tree, bits)
+        assert got == reference.modulate(tree, stream)
+        assert got[0][: len(symbols)] == symbols
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13])
+    @pytest.mark.parametrize("tree", [_EIGHT_THREE_BIT, _FIVE, _chain(3)], ids=["3-bit", "five", "chain3"])
+    def test_limit_inside_a_window(self, tree, n):
+        # windows of 8 bits hold two or more codewords of these codes
+        for seed in range(5):
+            assert len(_check_simulate(tree, n, seed)) == n
+
+    @pytest.mark.parametrize("k", [16, 17, 64, 80])
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_constant_streams_reach_the_deepest_leaves(self, k, flip):
+        tree = _chain(k, flip)
+        deepest = "0" * k if flip else "1" * k
+        assert tree.codewords[-1] == deepest
+        for bit in (0, 1):
+            # across two chunk boundaries, with a partial codeword at the end
+            stream = np.full(2 * (1 << 16) + 3 * k // 2, bit, np.uint8)
+            symbols, consumed = modulate(tree, stream)
+            assert (symbols, consumed) == reference.modulate(tree, stream)
+            if bit == int(deepest[0]):
+                assert set(symbols) == {k} and consumed == k * (stream.size // k)
+
+    def test_long_codewords_straddle_chunk_boundaries(self):
+        # an 80-bit codeword across the first boundary, a 20-bit one across
+        # the second, then 30 bits of an 80-bit codeword
+        tree = _DEEP_CHAIN
+        symbols = [0] * ((1 << 16) - 33) + [79] + [0] * ((1 << 16) - 60) + [19] + [0, 1, 2]
+        bits = demodulate(tree, symbols) + "1" * 30
+        stream = np.frombuffer(bits.encode("ascii"), np.uint8) - ord("0")
+        assert (1 << 16) - 33 < (1 << 16) < (1 << 16) - 33 + 80
+        assert modulate(tree, stream) == reference.modulate(tree, stream) == (symbols, len(bits) - 30)
+
+    @pytest.mark.parametrize(
+        "tree, n, seed",
+        [
+            (_FIVE, 80_000, 6),
+            (_EIGHT_THREE_BIT, 50_000, 3),
+            (_chain(20), 70_000, 6),
+            (_chain(80, flip=True), 70_000, 4),
+            # codewords of 6 to 111 bits; ten of them longer than 16
+            (_full_tree(np.exp(-0.05 * np.arange(1500))), 25_000, 3),
+        ],
+        ids=["five", "3-bit", "chain20", "chain80-flipped", "exp1500"],
+    )
+    def test_simulate_straddles_chunk_boundaries(self, tree, n, seed):
+        # seeds whose streams have a codeword across both boundaries
+        symbols = _check_simulate(tree, n, seed)
+        ends = set(np.cumsum([len(tree.codewords[s]) for s in symbols]).tolist())
+        assert max(ends) > 2 << 16
+        assert not ends & {1 << 16, 2 << 16}
 
 
 # report values: ints of every size (exact, bool and numpy), floats with
