@@ -262,33 +262,6 @@ def modulate(tree: CodeTree, bits) -> tuple:
     return symbols.tolist(), consumed
 
 
-def _checked_symbol(words: tuple, s) -> int:
-    """Symbol s as an int, or the ValueError that names what is wrong with it."""
-    if type(s) is not int:
-        if isinstance(s, bool) or not isinstance(s, (int, np.integer)):
-            raise ValueError(f"symbol {s!r} is not an integer")
-        s = int(s)
-    if s < 0 or s >= len(words):
-        raise ValueError(f"symbol index {s} out of range")
-    if words[s] is None:
-        raise ValueError(f"symbol {s} was dropped from the code tree")
-    return s
-
-
-def _kept_plain_ints(words: tuple, symbols) -> bool:
-    """Whether every symbol is a plain int that indexes a kept codeword,
-    from one numpy test over the whole sequence."""
-    if not set(map(type, symbols)) <= {int}:
-        return False
-    try:
-        idx = np.fromiter(symbols, np.int64, len(symbols))
-    except OverflowError:  # an index past int64 is out of range
-        return False
-    # kept codewords, then False for every index out of range
-    kept = np.append(np.fromiter((w is not None for w in words), bool, len(words)), False)
-    return bool(kept[np.where((idx < 0) | (idx >= len(words)), len(words), idx)].all())
-
-
 def demodulate(tree: CodeTree, symbols) -> str:
     """Concatenated codewords of a symbol sequence, as a '0'/'1' string.
 
@@ -297,14 +270,18 @@ def demodulate(tree: CodeTree, symbols) -> str:
     symbol in the sequence names the error.
     """
     words = tree.codewords
-    if type(symbols) not in (list, tuple):
-        symbols = list(symbols)
-    if not _kept_plain_ints(words, symbols):
-        # numpy integers are converted here, and the first bad symbol raises
-        symbols = [_checked_symbol(words, s) for s in symbols]
-    # a list built by a comprehension joins in half the time of a map of
-    # words.__getitem__, which join would turn into a list first
-    return "".join([words[s] for s in symbols])
+    out = []
+    for s in symbols:
+        if type(s) is not int:
+            if isinstance(s, bool) or not isinstance(s, (int, np.integer)):
+                raise ValueError(f"symbol {s!r} is not an integer")
+            s = int(s)
+        if s < 0 or s >= len(words):
+            raise ValueError(f"symbol index {s} out of range")
+        if words[s] is None:
+            raise ValueError(f"symbol {s} was dropped from the code tree")
+        out.append(words[s])
+    return "".join(out)
 
 
 def simulate(tree: CodeTree, n_symbols: int, seed: int) -> MatchReport:
