@@ -15,12 +15,14 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import takewhile
+from operator import itemgetter
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import GuardExceededError
-from .pmf import Pmf, _checked_weights
+from .pmf import PRODUCT_CAP, Pmf, _checked_weights
 
 INF = math.inf
 
@@ -92,6 +94,17 @@ def _reduced(units: int, exponent: int) -> str:
     return f"{units >> shift}/2^{exponent - shift}"
 
 
+def _require_kraft_one(hist: dict, entries: tuple):
+    """Raise naming the entries unless their length histogram's Kraft sum
+    is exactly 1."""
+    units, deepest = _kraft_units(hist)
+    if units != 1 << deepest:
+        raise ValueError(
+            f"lengths {entries} have Kraft sum {_reduced(units, deepest)}, "
+            "expected exactly 1"
+        )
+
+
 @dataclass(frozen=True)
 class CodeLengths:
     """Codeword-length vector of a full prefix-free code.
@@ -111,12 +124,7 @@ class CodeLengths:
             raise ValueError("need at least one finite length")
         if max(hist) > MAX_TREE_LEN:
             _raise_first_error(entries, MAX_TREE_LEN)
-        units, deepest = _kraft_units(hist)
-        if units != 1 << deepest:
-            raise ValueError(
-                f"lengths {entries} have Kraft sum {_reduced(units, deepest)}, "
-                "expected exactly 1"
-            )
+        _require_kraft_one(hist, entries)
         object.__setattr__(self, "lengths", entries)
 
     @classmethod
@@ -142,12 +150,7 @@ class CodeLengths:
         if not hist:
             raise ValueError("need at least one finite length")
         entries = tuple(_DEPTH_ENTRIES[depths].tolist())
-        units, deepest = _kraft_units(hist)
-        if units != 1 << deepest:
-            raise ValueError(
-                f"lengths {entries} have Kraft sum {_reduced(units, deepest)}, "
-                "expected exactly 1"
-            )
+        _require_kraft_one(hist, entries)
         code = cls.__new__(cls)
         object.__setattr__(code, "lengths", entries)
         return code
@@ -217,76 +220,64 @@ def canonical_codewords(code: CodeLengths) -> tuple:
 
 @dataclass(frozen=True, eq=False)
 class CodeTree:
-    """Full binary code tree with a leaf-to-symbol map.
+    """A full prefix-free code: per-symbol codeword strings (None for
+    dropped symbols) and their lengths.
 
-    ``children[node]`` is a (zero-child, one-child) pair; child values >= 0
-    are internal node ids, values < 0 encode leaves as -(symbol + 1).
-    ``root`` is 0 except for single-leaf trees, where it is the leaf code.
+    A single kept codeword that is empty is the single-leaf tree; otherwise
+    every kept codeword is a nonempty bit string.
     """
 
     lengths: CodeLengths
     codewords: tuple
-    children: tuple
-    root: int
 
     @classmethod
     def from_codewords(cls, codewords: Sequence) -> "CodeTree":
-        kept = [(i, w) for i, w in enumerate(codewords) if w is not None]
+        """The tree of a codeword list, which must be a full prefix-free code.
+
+        Checks each kept codeword's characters, then prefix-freeness on the
+        sorted codewords (a codeword that is a prefix of another is a prefix
+        of the one right after it in sorted order), then the exact Kraft
+        sum, and last the length cap of CodeLengths.
+        """
+        codewords = tuple(codewords)
+        kept = [(sym, word) for sym, word in enumerate(codewords) if word is not None]
         if not kept:
             raise ValueError("no codewords given")
-        if len(kept) == 1 and kept[0][1] == "":
-            sym = kept[0][0]
-            lengths = [INF] * len(codewords)
-            lengths[sym] = 0
-            return cls(CodeLengths(tuple(lengths)), tuple(codewords), (), -(sym + 1))
-
-        children: list = [[None, None]]
         for sym, word in kept:
-            if not word or any(c not in "01" for c in word):
+            if (not word and len(kept) > 1) or word.strip("01"):
                 raise ValueError(f"codeword for symbol {sym} is not a nonempty bit string")
-            node = 0
-            for pos, c in enumerate(word):
-                bit = int(c)
-                child = children[node][bit]
-                last = pos == len(word) - 1
-                if last:
-                    if child is not None:
-                        raise ValueError(f"codeword for symbol {sym} conflicts with another")
-                    children[node][bit] = -(sym + 1)
-                else:
-                    if child is None:
-                        child = len(children)
-                        children.append([None, None])
-                        children[node][bit] = child
-                    elif child < 0:
-                        raise ValueError(f"codeword for symbol {sym} extends a shorter codeword")
-                    node = child
-        for node, (lo, hi) in enumerate(children):
-            if lo is None or hi is None:
-                raise ValueError("codewords do not form a full tree (Kraft sum below 1)")
-
+        ordered = sorted(kept, key=itemgetter(1))
+        words = [word for _, word in ordered]
+        prefixed = list(map(str.startswith, words[1:], words))
+        if any(prefixed):
+            # name the symbol that clashes with a lower one: the lowest of
+            # the codewords that start with the first clashing codeword, or
+            # that codeword itself if it is higher
+            clash = prefixed.index(True)
+            sym, word = ordered[clash]
+            other, longer = min(takewhile(lambda sw: sw[1].startswith(word), ordered[clash + 1:]))
+            if other > sym and len(longer) > len(word):
+                raise ValueError(f"codeword for symbol {other} extends a shorter codeword")
+            raise ValueError(f"codeword for symbol {max(sym, other)} conflicts with another")
+        # prefix-free codewords have a Kraft sum of at most 1; a sum below 1
+        # is named before any length above the cap of CodeLengths
+        units, deepest = _kraft_units(Counter(map(len, words)))
+        if units != 1 << deepest:
+            raise ValueError("codewords do not form a full tree (Kraft sum below 1)")
         lengths = [INF] * len(codewords)
         for sym, word in kept:
             lengths[sym] = len(word)
-        return cls(
-            CodeLengths(tuple(lengths)),
-            tuple(codewords),
-            tuple((lo, hi) for lo, hi in children),
-            0,
-        )
-
-    @property
-    def n_leaves(self) -> int:
-        return self.lengths.finite_count
+        return cls(CodeLengths(tuple(lengths)), codewords)
 
     @property
     def is_single_leaf(self) -> bool:
-        return self.root < 0
+        return "" in self.codewords
 
 
 def canonical_tree(code: CodeLengths) -> CodeTree:
-    """Deterministic code tree with canonical codeword assignment."""
-    return CodeTree.from_codewords(canonical_codewords(code))
+    """Deterministic code tree with canonical codeword assignment; canonical
+    codewords of a full code are full and prefix-free by construction."""
+    return CodeTree(code, canonical_codewords(code))
 
 
 def codebook_text(tree: CodeTree) -> str:
@@ -298,7 +289,9 @@ def codebook_text(tree: CodeTree) -> str:
 
 
 def parse_codebook(text: str) -> CodeTree:
-    """Inverse of :func:`codebook_text`; accepts any full prefix-free codebook."""
+    """Inverse of :func:`codebook_text`; accepts any full prefix-free codebook
+    whose symbol indices are ASCII decimal digits below PRODUCT_CAP, the most
+    symbols any code here can have."""
     entries = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -306,12 +299,20 @@ def parse_codebook(text: str) -> CodeTree:
         parts = line.split("\t")
         if len(parts) != 2:
             raise ValueError(f"codebook line {lineno}: expected 'index<TAB>bits'")
-        try:
-            sym = int(parts[0])
-        except ValueError:
-            raise ValueError(f"codebook line {lineno}: bad symbol index {parts[0]!r}") from None
-        if sym < 0 or sym in entries:
-            raise ValueError(f"codebook line {lineno}: bad or duplicate symbol {sym}")
+        index = parts[0]
+        # int() would also take signs, underscores, spaces and other
+        # scripts' digits
+        if not (index.isascii() and index.isdigit()):
+            raise ValueError(f"codebook line {lineno}: bad symbol index {index!r}")
+        digits = index.lstrip("0") or "0"
+        # more digits than the cap has put an index above it; int() may refuse them
+        sym = int(digits) if len(digits) <= len(str(PRODUCT_CAP)) else PRODUCT_CAP
+        if sym >= PRODUCT_CAP:
+            raise GuardExceededError(
+                f"codebook line {lineno}: symbol index is at or above the cap {PRODUCT_CAP}"
+            )
+        if sym in entries:
+            raise ValueError(f"codebook line {lineno}: duplicate symbol {sym}")
         entries[sym] = parts[1]
     if not entries:
         raise ValueError("codebook is empty")

@@ -24,8 +24,9 @@ SYMBOL_CAP = 1 << 24  # max number of symbols simulate may emit and hold
 _CHUNK_BITS = 1 << 16  # bits parsed per numpy pass
 _MIN_WINDOW, _MAX_WINDOW = 8, 16  # bounds on the parse tables' window width
 # hop of a window whose first codeword is longer than the window: it ends
-# the hop loop, which then walks that codeword
+# the hop loop, which then looks that codeword up
 _LONG = 1 << 30
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")  # codeword text to bytes of 0 and 1
 _MASK64 = np.uint64(0xFFFFFFFFFFFFFFFF)
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -99,8 +100,9 @@ class _Tables:
     bits in all the whole codewords that fit in the window, parsed from its
     start, and the row of ``fit_syms`` holds their symbols, -1 after the
     last.  A window whose first codeword is longer than the window has hop
-    _LONG, and ``long_nodes`` maps it to the depth-width node the codeword
-    goes on from.
+    _LONG; ``long_syms`` maps the bits of each such codeword, as bytes of 0
+    and 1, to its symbol, and ``long_lengths`` holds their distinct
+    lengths in increasing order.
     """
 
     def __init__(self, tree: CodeTree):
@@ -114,8 +116,8 @@ class _Tables:
         self.depths[syms] = lens
 
         # a codeword of at most width bits covers the windows that start
-        # with it, and a depth-width node above longer codewords covers one
-        # window; fullness of the tree makes these ranges tile every window
+        # with it, and the first width bits of longer codewords cover one
+        # window each; a full code makes these ranges tile every window
         short = lens <= width
         prefixes = np.unique(heads[~short])
         order = np.argsort(np.concatenate((heads[short] << (width - lens[short]), prefixes)))
@@ -124,15 +126,10 @@ class _Tables:
         # the first codeword's length and symbol, 0 and -1 past the window
         first_len = np.concatenate((lens[short], none))[order].astype(np.uint32).repeat(sizes)
         first_sym = np.concatenate((syms[short], none - 1))[order].astype(np.int32).repeat(sizes)
-        self.long_nodes = {}
-        if prefixes.size:
-            self.zero = [c[0] for c in tree.children]
-            self.one = [c[1] for c in tree.children]
-            for prefix in prefixes.tolist():
-                node = tree.root
-                for bit in format(prefix, f"0{width}b"):
-                    node = self.one[node] if bit == "1" else self.zero[node]
-                self.long_nodes[prefix] = node
+        self.long_syms = {
+            w.encode("ascii").translate(_BIT_BYTES): s for s, w in kept if len(w) > width
+        }
+        self.long_lengths = sorted(set(map(len, self.long_syms)))
 
         # one round per codeword: the rest of a window, shifted up and
         # padded with zeros, starts with the next codeword exactly when
@@ -172,8 +169,7 @@ class _Tables:
                 pos += hops[pos]
             if pos < _LONG:
                 break
-            start = visits[-1]
-            sym, pos = self._walk(buf, start, int(windows[start]))
+            sym, pos = self._walk(buf, visits[-1])
             if sym is None:
                 visits.pop()
                 break
@@ -183,16 +179,18 @@ class _Tables:
             rows[list(longs), 0] = list(longs.values())
         return rows[rows >= 0], pos
 
-    def _walk(self, buf: np.ndarray, start: int, window: int) -> tuple:
+    def _walk(self, buf: np.ndarray, start: int) -> tuple:
         """(symbol, end) of the codeword longer than the window that starts
-        at bit start of buf, walked on bit by bit from its depth-width
-        node; (None, start) if buf ends inside it."""
-        node = self.long_nodes[window]
-        first = start + self.width
-        for end, bit in enumerate(buf[first:start + self.deepest].tobytes(), first + 1):
-            node = self.one[node] if bit else self.zero[node]
-            if node < 0:
-                return -node - 1, end
+        at bit start of buf, looked up at each long length in turn, where
+        prefix-freeness makes the first hit the codeword; (None, start) if
+        buf ends inside it."""
+        for length in self.long_lengths:
+            end = start + length
+            if end > buf.size:
+                break
+            sym = self.long_syms.get(buf[start:end].tobytes())
+            if sym is not None:
+                return sym, end
         return None, start
 
 

@@ -11,10 +11,13 @@ per-bit walks became one: a buffered bit source, a ``simulate`` that only
 counted symbols, and the symbol list the CLI recovered by regenerating the
 bits and parsing them again with ``modulate``, and the CLI's report
 serializer as it was before lists of exact ints went through one C-level
-call.  The property tests compare the package against them: same lengths
-(tie-breaks included), same divergences, same reduced Kraft sums or errors,
-bit-identical DMC capacities, capacity-achieving PMFs and LEC fixed points,
-the same bits, symbols and counts, and the same report bytes.
+call, and the code tree builder that grew a node table one codeword bit at
+a time, whose table the reference matcher walks.  The property tests
+compare the package against them: same lengths (tie-breaks included), same
+divergences, same reduced Kraft sums or errors, bit-identical DMC
+capacities, capacity-achieving PMFs and LEC fixed points, the same bits,
+symbols and counts, the same report bytes, and the same accepted trees and
+error types for codeword lists.
 """
 
 from __future__ import annotations
@@ -440,12 +443,72 @@ class BitSource:
         return np.concatenate(chunks)
 
 
+def _build_tree(codewords) -> tuple:
+    """(children, root, CodeLengths) of the per-bit builder that
+    ``CodeTree.from_codewords`` used: a node table grown one codeword bit
+    at a time, with its errors.
+
+    ``children[node]`` is a (zero-child, one-child) pair; child values >= 0
+    are internal node ids, values < 0 encode leaves as -(symbol + 1).
+    ``root`` is 0 except for single-leaf trees, where it is the leaf code.
+    """
+    kept = [(i, w) for i, w in enumerate(codewords) if w is not None]
+    if not kept:
+        raise ValueError("no codewords given")
+    if len(kept) == 1 and kept[0][1] == "":
+        sym = kept[0][0]
+        lengths = [INF] * len(codewords)
+        lengths[sym] = 0
+        return (), -(sym + 1), CodeLengths(tuple(lengths))
+
+    children: list = [[None, None]]
+    for sym, word in kept:
+        if not word or any(c not in "01" for c in word):
+            raise ValueError(f"codeword for symbol {sym} is not a nonempty bit string")
+        node = 0
+        for pos, c in enumerate(word):
+            bit = int(c)
+            child = children[node][bit]
+            last = pos == len(word) - 1
+            if last:
+                if child is not None:
+                    raise ValueError(f"codeword for symbol {sym} conflicts with another")
+                children[node][bit] = -(sym + 1)
+            else:
+                if child is None:
+                    child = len(children)
+                    children.append([None, None])
+                    children[node][bit] = child
+                elif child < 0:
+                    raise ValueError(f"codeword for symbol {sym} extends a shorter codeword")
+                node = child
+    for node, (lo, hi) in enumerate(children):
+        if lo is None or hi is None:
+            raise ValueError("codewords do not form a full tree (Kraft sum below 1)")
+
+    lengths = [INF] * len(codewords)
+    for sym, word in kept:
+        lengths[sym] = len(word)
+    return tuple((lo, hi) for lo, hi in children), 0, CodeLengths(tuple(lengths))
+
+
+def from_codewords(codewords) -> tuple:
+    """(codewords, lengths) of the tree the per-bit builder accepts, or its
+    error."""
+    _, _, code = _build_tree(codewords)
+    return tuple(codewords), code.lengths
+
+
+def _node_table(tree) -> tuple:
+    """(zero-children, one-children, root) of a tree's per-bit node table."""
+    children, root, _ = _build_tree(tree.codewords)
+    return [c[0] for c in children], [c[1] for c in children], root
+
+
 def modulate(tree, bits) -> tuple:
     """The per-bit parse that tracked the index of the last emitted bit;
     bits is an array of 0s and 1s."""
-    zero = [c[0] for c in tree.children]
-    one = [c[1] for c in tree.children]
-    root = tree.root
+    zero, one, root = _node_table(tree)
     node = root
     symbols: list = []
     consumed = 0
@@ -462,9 +525,7 @@ def simulate(tree, n_symbols: int, seed: int) -> tuple:
     """(counts, bits consumed, empirical PMF) of the counting walk over
     65536-bit chunks."""
     source = BitSource(seed)
-    zero = [c[0] for c in tree.children]
-    one = [c[1] for c in tree.children]
-    root = tree.root
+    zero, one, root = _node_table(tree)
     counts = [0] * tree.lengths.m
     node = root
     emitted = 0

@@ -3,8 +3,9 @@
 Spec files mix valid channels with non-number JSON values, NaN and
 Infinity tokens and numbers beyond the float range, and DNC specs take
 weights at the ends of the float range and bases up to 1e300; codebooks
-mix valid canonical codes with duplicate symbols, gaps, prefix clashes
-and random bit strings; flags take valid and invalid values.  Every run
+mix valid canonical codes with duplicate symbols, gaps, prefix clashes,
+random bit strings and indices that ``int()`` reads but a codebook
+refuses; flags take valid and invalid values.  Every run
 must end in exit 0, 1 or 2 without an exception escaping ``main``: exit
 0 with parseable stdout, exit 1 or 2 with empty stdout and exactly one
 ``error:`` line on stderr.  ``match`` on the codebooks of random full
@@ -20,7 +21,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from geomhuffman import BitSource, canonical_tree, codebook_text, ghc
@@ -125,6 +126,11 @@ def _argv_flags(flags):
     return argv
 
 
+# rows whose index int() reads (as 0, 10, 0 and 10**12 - 1) but that a
+# codebook refuses: not ASCII digits, or an index of 2^24 or more
+STRICT_INDEX_ROWS = ["+0\t0", "1_0\t1", " 0\t0", "999999999999\t1"]
+
+
 @st.composite
 def codebook_texts(draw):
     """A canonical codebook of a random code, maybe broken by a duplicate
@@ -149,7 +155,7 @@ def codebook_texts(draw):
     elif fault == "extra":
         rows.append(f"{len(rows) + 3}\t{bits}1")
     elif fault == "garbage":
-        rows[i] = draw(st.sampled_from(["x\t0", "1 0", "-1\t0", "2\t0a", "\t"]))
+        rows[i] = draw(st.sampled_from(["x\t0", "1 0", "-1\t0", "2\t0a", "\t"] + STRICT_INDEX_ROWS))
     return "\n".join(rows) + "\n"
 
 
@@ -174,13 +180,22 @@ def test_spec_commands_exit_cleanly(workdir, data):
     dematch=st.lists(st.integers(-1, 8), max_size=6),
     fmt=st.sampled_from(["json", "csv", "yaml"]),
 )
+@example(text="+0\t0\n1\t1\n", symbols="7", seed="0", dematch=[0, 1], fmt="json")
+@example(text="0\t0\n1_0\t1\n", symbols="7", seed="0", dematch=[0], fmt="csv")
+@example(text="0\t1\n 0\t0\n", symbols="1", seed="7", dematch=[], fmt="json")
+@example(text="0\t0\n999999999999\t1\n", symbols="1", seed="0", dematch=[0], fmt="json")
 def test_codebook_commands_exit_cleanly(workdir, text, symbols, seed, dematch, fmt):
     path = workdir / "cb.tsv"
     path.write_text(text)
+    strict = any(row in text.splitlines() for row in STRICT_INDEX_ROWS)
     argv = ["match", str(path), "--symbols", symbols, "--seed", seed, "--format", fmt]
-    check_outcome(*run_main(argv), fmt)
+    outcome = run_main(argv)
+    check_outcome(*outcome, fmt)
+    assert not (strict and outcome[0] == 0), outcome
     argv = ["dematch", str(path), "--symbols", ",".join(map(str, dematch)), "--format", fmt]
-    check_outcome(*run_main(argv), fmt)
+    outcome = run_main(argv)
+    check_outcome(*outcome, fmt)
+    assert not (strict and outcome[0] == 0), outcome
 
 
 @settings(max_examples=200, deadline=None)

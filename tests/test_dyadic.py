@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -218,6 +219,20 @@ class TestCodebookRoundTrip:
             parse_codebook("")
         with pytest.raises(ValueError):
             parse_codebook("0\t0\n0\t1\n")
+
+    @pytest.mark.parametrize("index", ["+0", "-0", "1_0", " 0", "0 ", "\u0661", "0x1", "1.0", ""])
+    def test_parse_takes_decimal_digits_only(self, index):
+        with pytest.raises(ValueError, match=f"^codebook line 2: bad symbol index {re.escape(repr(index))}$"):
+            parse_codebook(f"1\t1\n{index}\t0\n")
+
+    @pytest.mark.parametrize("index", [str(1 << 24), "999999999999", "0" * 5000 + "1" + "0" * 8, "9" * 5000])
+    def test_parse_guards_the_symbol_count(self, index):
+        with pytest.raises(GuardExceededError, match="^codebook line 2: symbol index is at or above the cap 16777216$"):
+            parse_codebook(f"0\t0\n{index}\t1\n")
+
+    def test_parse_reads_leading_zeros(self):
+        tree = parse_codebook("0000\t0\n" + "0" * 5000 + "2\t1\n")
+        assert tree.codewords == ("0", None, "1")
 
 
 def _count_full_codes_by_level_profile(m: int, l_max: int) -> int:

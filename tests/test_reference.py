@@ -1,8 +1,9 @@
 """The two-queue builder, the histogram Kraft check, the capacity solver's
 loop, the shared oracle scan, the table-driven matcher and the lean LEC
 step against the heap builders, per-element fold, per-iteration validating
-loop, separate oracle, per-bit matcher walks and LEC they replaced, and the
-report serializer against the element-by-element one (``reference.py``);
+loop, separate oracle, per-bit matcher walks and LEC they replaced, the
+report serializer against the element-by-element one and the codeword
+checks of ``CodeTree`` against the per-bit tree builder (``reference.py``);
 the batched rounds of the two-queue builder against its scalar loop; and
 the log-space DNC capacity solve against its root bracketed in mpmath."""
 
@@ -787,6 +788,82 @@ class TestTableParseMatchesReference:
         ends = set(np.cumsum([len(tree.codewords[s]) for s in symbols]).tolist())
         assert max(ends) > 2 << 16
         assert not ends & {1 << 16, 2 << 16}
+
+
+@st.composite
+def _codeword_lists(draw):
+    """(codeword list, number of faults): a full code grown by splitting
+    first its deepest leaf, to depths past 16 bits and now and then past
+    1024, then drawn leaves, with None gaps; then up to three faults: a
+    duplicate codeword, a missing leaf, a codeword extended by a bit or by
+    a character other than 0 and 1, a proper prefix of a codeword (an
+    inner node, or "" at the root) added as a codeword, or "" added among
+    the codewords."""
+    long = draw(st.integers(0, 11)) == 0
+    depth = draw(st.sampled_from([1023, 1024, 1025]) if long else st.integers(0, 40))
+    leaves = [""]
+    for _ in range(depth):
+        word = leaves.pop()
+        leaves += [word + "0", word + "1"]
+    for split in draw(st.lists(st.integers(0, 2**20), max_size=30)):
+        i = split % len(leaves)
+        if len(leaves[i]) < 40:
+            word = leaves.pop(i)
+            leaves += [word + "0", word + "1"]
+    words = list(draw(st.permutations(leaves)))
+    faults = draw(st.lists(
+        st.sampled_from(["duplicate", "missing", "extend", "character", "prefix", "empty"]),
+        max_size=3,
+    ))
+    for fault in faults:
+        kept = [i for i, w in enumerate(words) if w is not None]
+        i = draw(st.sampled_from(kept)) if kept else None
+        at = draw(st.integers(0, len(words)))
+        if fault == "duplicate" and kept:
+            words.insert(at, words[i])
+        elif fault == "missing" and kept:
+            words[i] = None
+        elif fault == "extend" and kept:
+            words[i] += draw(st.sampled_from(["0", "1"]))
+        elif fault == "character" and kept:
+            cut = draw(st.integers(0, len(words[i])))
+            words[i] = words[i][:cut] + draw(st.sampled_from(["2", "x", " ", "\n", "\u0661"])) + words[i][cut:]
+        elif fault == "prefix" and kept:
+            words.insert(at, words[i][: draw(st.integers(0, max(len(words[i]) - 1, 0)))])
+        else:
+            words.insert(at, "")
+    for _ in range(draw(st.integers(0, 3))):
+        words.insert(draw(st.integers(0, len(words))), None)
+    return words, len(faults)
+
+
+def _tree_fields(tree):
+    return tree.codewords, tree.lengths.lengths
+
+
+class TestCodeTreeMatchesReference:
+    """``CodeTree.from_codewords``, which checks characters, prefix-freeness
+    on the sorted codewords and the exact Kraft sum, against the per-bit
+    node table builder it replaced: the same trees, the same error types,
+    and the same messages on lists with at most one fault."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_codeword_lists())
+    @example((["0", "1"], 0))
+    @example((["", None], 0))
+    @example(([None, None], 1))
+    @example((["0", "01", "1"], 1))
+    @example((["01", "0", "00", "1"], 1))
+    @example((["00", "1", "0", "01"], 1))
+    @example((["0", "1" + "0" * 1100], 1))
+    @example(([None, "0", "1" * 1025, "10", "1" * 1024 + "0"] + ["1" * k + "0" for k in range(2, 1024)], 0))
+    def test_from_codewords(self, case):
+        words, faults = case
+        got = _outcome(lambda w: _tree_fields(CodeTree.from_codewords(w)), words)
+        want = _outcome(reference.from_codewords, words)
+        assert got[0] == want[0]
+        if got[0] == "ok" or faults <= 1:
+            assert got == want
 
 
 # report values: ints of every size (exact, bool and numpy), floats with
