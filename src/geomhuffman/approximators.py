@@ -9,6 +9,9 @@ dyadic PMF given by codeword lengths:
   baseline; it minimizes D(x || p), not D(p || x), and never drops symbols.
 * :func:`gcc` - greedy floor-of-log length assignment truncated at exact
   Kraft equality; guarantees D(p || q) <= 1 bit for any PMF q.
+
+ghc and huffman share one two-queue builder that pops the smallest key
+first: ghc keys on log2 x, huffman on x.
 """
 
 from __future__ import annotations
@@ -22,34 +25,29 @@ from .pmf import Pmf, _checked_weights, kl_divergence
 # below it the scalar loop is faster (on Dirichlet weights, one Xeon core,
 # the whole ghc call breaks even between 1024 and 2048 leaves)
 BATCH_MIN_LEAVES = 2048
-# from this many symbols up, _code_and_divergence scatters the depths into
-# one symbol-order int64 array and checks the code from it; below it a loop
-# and the public constructor are faster (numpy on that path cost the
-# many-small-channel workload 14.5%; the batched rounds all lie above it)
-_SCATTER_MIN_SYMBOLS = 512
 # a batched round needs this many more nodes than a and b, in the leaves or
-# in the queue, above its key bound; a smaller one is a scalar step
+# in the queue, below its key bound; a smaller one is a scalar step
 _BATCH_RUN = 16
 
 
-def _two_queue_depths(keys: list, ties: list, merge, drop=None) -> list:
+def _two_queue_depths(keys: list, ties: list, merge, drop) -> list:
     """Leaf depths of the tree built by repeatedly combining the two nodes
     that pop first, in van Leeuwen's two-queue form.
 
     ``keys`` and ``ties`` (symbol indices) describe the leaves already in
-    pop order: larger key first, and among equal keys the higher index
+    pop order: smaller key first, and among equal keys the higher index
     first.  Each step pops node a, then node b; when ``drop(key_a, key_b)``
     holds, a is discarded (with its whole subtree) and b stays in place,
     otherwise both become children of a node keyed ``merge(key_a, key_b)``
     whose tie index is the smaller of theirs.  The rules must never give a
-    merged node a larger key than an earlier one, so merged nodes form a
+    merged node a smaller key than an earlier one, so merged nodes form a
     FIFO; among equal keys a new node goes ahead of pending ones with a
     smaller tie index, which keeps the pop order total and deterministic.
 
     Returns depths per leaf, in the given order; dropped leaves get inf.
     """
     n = len(keys)
-    keys = keys + [-INF]  # sentinel: a merged node always pops ahead of it
+    keys = keys + [INF]  # sentinel: a merged node always pops ahead of it
     ties = ties + [-1]
     qk: list = []  # merged queue: keys, tie indices, node ids; pending from j
     qt: list = []
@@ -59,14 +57,14 @@ def _two_queue_depths(keys: list, ties: list, merge, drop=None) -> list:
     ki, ti = keys[0], ties[0]  # the next leaf
     c = n
     for _ in range(n - 1):  # each step removes one node
-        if j < tail and (qk[j] > ki or (qk[j] == ki and qt[j] > ti)):
+        if j < tail and (qk[j] < ki or (qk[j] == ki and qt[j] > ti)):
             a, ka, ta = qn[j], qk[j], qt[j]
             j += 1
         else:
             a, ka, ta = i, ki, ti
             i += 1
             ki, ti = keys[i], ties[i]
-        if j < tail and (qk[j] > ki or (qk[j] == ki and qt[j] > ti)):
+        if j < tail and (qk[j] < ki or (qk[j] == ki and qt[j] > ti)):
             kb = qk[j]
             if drop is not None and drop(ka, kb):
                 continue
@@ -108,24 +106,24 @@ def _two_queue_depths(keys: list, ties: list, merge, drop=None) -> list:
     return depth
 
 
-def _batched_depths(keys: np.ndarray, ties: np.ndarray, merge, drop=None) -> np.ndarray:
+def _batched_depths(keys: np.ndarray, ties: np.ndarray, merge, drop) -> np.ndarray:
     """:func:`_two_queue_depths` replayed in rounds of numpy steps, with the
     same depths as an int64 array, negative for dropped leaves.
 
     A round pops the first two pending nodes a and b.  When the drop rule
     holds, a goes, as in one scalar step.  Otherwise their parent's key
     kc = merge(ka, kb) bounds every key the round creates, since merged keys
-    never grow, so every pending node keyed above kc pops before any of
+    never shrink, so every pending node keyed below kc pops before any of
     them.  Those nodes, a prefix of the leaves and one of the queue, are
     put in pop order and paired off in that order; an odd last node stays
     pending.  No pair among them meets GHC's drop rule, since they lie in
-    (kc, ka], a span below 2.  The parents join the queue, whose run of
+    [ka, kc), a span below 2.  The parents join the queue, whose run of
     keys equal to the first new one is then put in tie order, as the
     scalar insert keeps it.  Depths come from one reverse pass over the
     rounds.
 
     A round is batched only when the leaves or the queue hold more than
-    _BATCH_RUN nodes above kc besides a and b, so a and b lie above kc
+    _BATCH_RUN nodes below kc besides a and b, so a and b lie below kc
     too; a smaller round would not pay for its numpy calls and merges a
     and b alone, as one scalar step.  So does every round where kc ties
     b's key, as zero Huffman weights give.
@@ -134,25 +132,23 @@ def _batched_depths(keys: np.ndarray, ties: np.ndarray, merge, drop=None) -> np.
     # sentinels, as in the scalar loop, past the leaves and in the queue's
     # free slots, far enough for the look ahead by _BATCH_RUN
     pad = _BATCH_RUN + 1
-    keys = np.concatenate((keys, np.full(pad, -INF)))
+    keys = np.concatenate((keys, np.full(pad, INF)))
     ties = np.concatenate((ties, np.full(pad, -1, ties.dtype)))
-    neg = -keys  # ascending, for searchsorted; so is qneg over the queue
-    qkey, qneg = np.full(n + pad, -INF), np.empty(n + pad)
-    qtie, qnode = np.full(n + pad, -1), np.empty(n + pad, np.int64)
+    qkey, qtie, qnode = np.full(n + pad, INF), np.full(n + pad, -1), np.empty(n + pad, np.int64)
     # the scalar steps read and write through memoryviews, as Python numbers
-    lk, lt, qk, qnegv, qt, qn = map(memoryview, (keys, ties, qkey, qneg, qtie, qnode))
+    lk, lt, qk, qt, qn = map(memoryview, (keys, ties, qkey, qtie, qnode))
     rounds = []  # (first parent id, children in pair order)
     i = j = tail = 0
     c = n
     while n - i + tail - j > 1:
         i0, j0 = i, j
-        if qk[j] > lk[i] or (qk[j] == lk[i] and qt[j] > lt[i]):
+        if qk[j] < lk[i] or (qk[j] == lk[i] and qt[j] > lt[i]):
             a, ka, ta = qn[j], qk[j], qt[j]
             j += 1
         else:
             a, ka, ta = i, lk[i], lt[i]
             i += 1
-        if qk[j] > lk[i] or (qk[j] == lk[i] and qt[j] > lt[i]):
+        if qk[j] < lk[i] or (qk[j] == lk[i] and qt[j] > lt[i]):
             b, kb, tb = qn[j], qk[j], qt[j]
             j += 1
         else:
@@ -162,21 +158,21 @@ def _batched_depths(keys: np.ndarray, ties: np.ndarray, merge, drop=None) -> np.
             i, j = (i0, j0 + 1) if a >= n else (i0 + 1, j0)  # b stays
             continue
         kc = merge(ka, kb)
-        if lk[i + _BATCH_RUN] <= kc and qk[j + _BATCH_RUN] <= kc:
+        if lk[i + _BATCH_RUN] >= kc and qk[j + _BATCH_RUN] >= kc:
             tc = ta if ta < tb else tb
             rounds.append((c, (a, b)))
             unordered = j < tail and qk[tail - 1] == kc and qt[tail - 1] < tc
-            qk[tail], qnegv[tail], qt[tail], qn[tail] = kc, -kc, tc, c
+            qk[tail], qt[tail], qn[tail] = kc, tc, c
             pairs = 1
         else:
             i, j = i0, j0
-            nl = int(np.searchsorted(neg, -kc)) - i
-            nq = int(np.searchsorted(qneg[:tail], -kc)) - j
+            nl = int(np.searchsorted(keys, kc)) - i
+            nq = int(np.searchsorted(qkey[:tail], kc)) - j
             sk = np.concatenate((keys[i:i + nl], qkey[j:j + nq]))
             st = np.concatenate((ties[i:i + nl], qtie[j:j + nq]))
             sn = np.concatenate((np.arange(i, i + nl), qnode[j:j + nq]))
             if nl and nq:
-                pop = np.lexsort((st, sk))[::-1]  # key desc, then tie desc
+                pop = np.lexsort((-st, sk))  # key ascending, then tie descending
                 sk, st, sn = sk[pop], st[pop], sn[pop]
             pairs = sk.size // 2
             kids = sn[:2 * pairs]
@@ -186,19 +182,18 @@ def _batched_depths(keys: np.ndarray, ties: np.ndarray, merge, drop=None) -> np.
             rounds.append((c, kids))
             new = slice(tail, tail + pairs)
             qkey[new] = merge(sk[0:2 * pairs:2], sk[1:2 * pairs:2])
-            qneg[new] = -qkey[new]
             qtie[new] = np.minimum(st[0:2 * pairs:2], st[1:2 * pairs:2])
             qnode[new] = np.arange(c, c + pairs)
             unordered = True
         if unordered:
             # put the queue's equal-key run at the tail in tie order, as
             # one scalar insert after another would have kept it
-            start = max(j, int(np.searchsorted(qneg[:tail], qneg[tail])))
+            start = max(j, int(np.searchsorted(qkey[:tail], qkey[tail])))
             end = tail + pairs
             rk, rt = qkey[start:end], qtie[start:end]
             if np.any((rk[1:] == rk[:-1]) & (rt[1:] > rt[:-1])):
-                pop = np.lexsort((rt, rk))[::-1] + start
-                for arr in (qkey, qneg, qtie, qnode):
+                pop = np.lexsort((-rt, rk)) + start
+                for arr in (qkey, qtie, qnode):
                     arr[start:end] = arr[pop]
         c += pairs
         tail += pairs
@@ -225,73 +220,71 @@ def _tree_depths(keys: np.ndarray, ties: np.ndarray, merge, drop):
 
 
 def _code_and_divergence(order: np.ndarray, depths, arr: np.ndarray) -> tuple:
-    """CodeLengths in symbol order from the depths of the first len(depths)
-    symbols of order (the others are dropped), D(p || arr), and p, the
-    code's probabilities 2**-l as a float64 array.
+    """CodeLengths in symbol order from the depths of the symbols of order,
+    D(p || arr), and p, the code's probabilities 2**-l as a float64 array.
 
-    depths is a list with inf for dropped leaves, or an int64 array with
-    negative depths for them.  Below _SCATTER_MIN_SYMBOLS symbols the code
-    goes through the public constructor; from there up the depths are
-    scattered into one int64 array, -1 where dropped, which both the code
-    and p come from.
+    depths is the scalar loop's list, with inf for dropped leaves, which
+    goes through the public constructor; or an int64 array, negative where
+    dropped, from the batched rounds or gcc, which is scattered into one
+    symbol-order array, -1 where dropped, that both the code and p come
+    from.
     """
-    if arr.size < _SCATTER_MIN_SYMBOLS:
-        if type(depths) is not list:  # gcc's array
-            depths = depths.tolist()
+    if type(depths) is list:
         entries = [INF] * arr.size
         for sym, depth in zip(order.tolist(), depths):
             entries[sym] = depth
         code = CodeLengths(tuple(entries))
         p = _dyadic_probs(code.lengths)
         return code, kl_divergence(p, arr), p
-    if type(depths) is list:  # the scalar loop's, inf where dropped
-        depths = np.array(depths, dtype=np.float64)
-        depths[depths == INF] = -1.0
-        depths = depths.astype(np.int64)
     d = np.full(arr.size, -1, np.int64)
-    d[order[:depths.size]] = np.maximum(depths, -1)
+    d[order] = np.maximum(depths, -1)
     code = CodeLengths._from_depths(d)
     p = np.exp2(-d, out=np.zeros(d.size), where=d >= 0)  # the bits of 2.0**-l
     return code, kl_divergence(p, arr), p
 
 
-def _ghc_merge(ua: float, ub: float) -> float:
-    return 0.5 * (ua + ub) - 1.0
+def _ghc_merge(va: float, vb: float) -> float:
+    return 0.5 * (va + vb) + 1.0
 
 
-def _ghc_drop(ua: float, ub: float) -> bool:
-    return ub <= ua - 2.0
+def _ghc_drop(va: float, vb: float) -> bool:
+    return vb >= va + 2.0
 
 
 def _huffman_merge(ka: float, kb: float) -> float:
     return ka + kb
 
 
+def _pop_order(keys: np.ndarray) -> np.ndarray:
+    """Indices of keys in pop order: smaller key first, and among equal
+    keys the higher index first."""
+    return (keys.size - 1) - np.argsort(keys[::-1], kind="stable")
+
+
 def ghc(x) -> tuple:
     """Minimize D(p || x) in bits over all dyadic PMFs p.
 
-    Works on u_i = -log2(x_i).  Repeatedly takes the two largest u (the two
-    smallest weights) u_a >= u_b and either
+    Works on v_i = log2(x_i).  Repeatedly takes the two smallest v (the two
+    smallest weights) v_a <= v_b and either
 
-    * drops the u_a node entirely when u_b <= u_a - 2 (the second-smallest
+    * drops the v_a node entirely when v_b >= v_a + 2 (the second-smallest
       weight is at least four times the smallest), or
-    * merges them into a parent with u' = (u_a + u_b)/2 - 1, the log-domain
+    * merges them into a parent with v' = (v_a + v_b)/2 + 1, the log-domain
       form of replacing the pair by twice their geometric mean.
 
-    Merged u never increase: the next pair both have u <= u_b, so their
-    parent has u'' <= u_b - 1 <= u'.  After one sort the build is therefore
+    Merged v never decrease: the next pair both have v >= v_b, so their
+    parent has v'' >= v_b + 1 >= v'.  After one sort the build is therefore
     linear, with merged nodes in a FIFO beside the sorted leaves (van
     Leeuwen's two-queue method); the whole run is O(m log m) for the sort
     plus O(m).  From BATCH_MIN_LEAVES kept symbols up, that build runs in
     batched rounds, each pairing in a few numpy steps every pending node
     that pops before the round's first parent could, with the same
-    lengths; below it the build is one scalar loop.  Dropped nodes may be
-    whole subtrees; every leaf beneath one gets length inf.  From
-    _SCATTER_MIN_SYMBOLS symbols up, the depths stay one int64 array from
-    the build to the result: the code's exact Kraft check walks its
-    histogram, and only the lengths tuple is built per symbol.  Among equal u
-    the lower original symbol index ends up with the shorter (or equal)
-    codeword, which keeps outputs deterministic.
+    lengths, and the depths stay one int64 array from the build to the
+    result: the code's exact Kraft check walks its histogram, and only the
+    lengths tuple is built per symbol.  Below it the build is one scalar
+    loop.  Dropped nodes may be whole subtrees; every leaf beneath one gets
+    length inf.  Among equal v the lower original symbol index ends up with
+    the shorter (or equal) codeword, which keeps outputs deterministic.
 
     Returns (CodeLengths in original symbol order, divergence in bits).
     Zero-weight symbols always get length inf.
@@ -303,17 +296,17 @@ def _ghc_with_probs(x) -> tuple:
     """ghc's code and divergence, and the code's probabilities 2**-l as the
     float64 array the build computed them in."""
     arr = _checked_weights(x)
-    # u_i = -log2(x_i), +inf for zero weights, which sort last; the merge
-    # rules use only differences of u, so tiny weights stay workable
-    u = np.where(arr > 0.0, -np.log2(np.where(arr > 0.0, arr, 1.0)), np.inf)
-    perm = np.argsort(u, kind="stable")
-    finite = np.count_nonzero(np.isfinite(u))
+    positive = arr > 0.0
+    finite = np.count_nonzero(positive)
     if finite == 0:
         raise ValueError("need at least one positive weight")
-    # pop order: largest u first; among equal u the higher index pops
-    # first (gets merged deeper), so the lower index wins
-    order = perm[finite - 1::-1]
-    depths = _tree_depths(u[order], order, _ghc_merge, _ghc_drop)
+    # v_i = log2(x_i), -inf for zero weights, which pop first and are left
+    # out; the merge rules use only differences of v, so tiny weights stay
+    # workable.  Among equal v the higher index pops first (gets merged
+    # deeper), so the lower index wins
+    v = np.where(positive, np.log2(np.where(positive, arr, 1.0)), -INF)
+    order = _pop_order(v)[arr.size - finite:]
+    depths = _tree_depths(v[order], order, _ghc_merge, _ghc_drop)
     return _code_and_divergence(order, depths, arr)
 
 
@@ -321,9 +314,9 @@ def huffman(x) -> tuple:
     """Classical Huffman lengths for weight vector x, merging the two
     smallest weights into their sum.  No symbol is dropped.
 
-    The build shares :func:`ghc`'s two-queue builder, keyed on -x so that
-    the smallest weight pops first, and its choice between the scalar loop
-    and the batched rounds by the number of symbols.
+    The build shares :func:`ghc`'s two-queue builder, keyed on x, and its
+    choice between the scalar loop and the batched rounds by the number of
+    symbols.
 
     The reported divergence is D(p || x) for the induced dyadic p, for
     comparison with :func:`ghc`; it is not the quantity Huffman coding
@@ -332,9 +325,8 @@ def huffman(x) -> tuple:
     arr = _checked_weights(x)
     if int((arr > 0.0).sum()) < 2:
         raise ValueError("Huffman coding needs at least 2 positive weights")
-    # pop order: smallest weight first, among equal weights the higher index
-    order = (arr.size - 1) - np.argsort(arr[::-1], kind="stable")
-    depths = _tree_depths(-arr[order], order, _huffman_merge, None)
+    order = _pop_order(arr)
+    depths = _tree_depths(arr[order], order, _huffman_merge, None)
     return _code_and_divergence(order, depths, arr)[:2]
 
 

@@ -260,6 +260,9 @@ def _cmd_dnc(args):
         raise _UsageError("block length k must be >= 1")
     if args.lec and args.block > 1:
         raise _UsageError("--lec and --block are mutually exclusive")
+    # checked in every mode, though only --lec reads it
+    if not (math.isfinite(args.tol) and args.tol > 0.0):
+        raise _UsageError("tol must be finite and positive")
     if args.lec:
         res = dnc_mod.lec(spec, tol=args.tol)
         cap = res.solved

@@ -16,6 +16,7 @@ from .errors import ConvergenceError, DimensionMismatchError, SupportConditionEr
 from .pmf import PRODUCT_CAP, Pmf, _check_block, _coordinate_sum, kl_divergence, product_pmf
 
 COLUMN_TOL = 1e-9
+CLAMP_THRESHOLD = 1e-12  # clamp_support zeroes entries below this
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,13 +194,13 @@ def mi_lower_bound(C: float, p: Pmf, p_star: Pmf) -> float:
     return C - kl_divergence(p, p_star)
 
 
-def clamp_support(p: Pmf, threshold: float = 1e-12) -> Pmf:
-    """Zero out entries below threshold and renormalize.
+def clamp_support(p: Pmf) -> Pmf:
+    """Zero out entries below CLAMP_THRESHOLD and renormalize.
 
     Solver outputs are never exactly zero; clamping makes the support
     condition meaningful before handing the PMF to ghc.
     """
-    arr = np.where(p.probs < threshold, 0.0, p.probs)
+    arr = np.where(p.probs < CLAMP_THRESHOLD, 0.0, p.probs)
     return Pmf.normalized(arr)
 
 
@@ -234,7 +235,6 @@ def optimize_block_dmc(
     k: int,
     tol: float = 1e-9,
     max_iter: int = 100_000,
-    cap: int = PRODUCT_CAP,
 ) -> BlockDmcReport:
     """Best dyadic PMF for k consecutive channel uses.
 
@@ -243,10 +243,10 @@ def optimize_block_dmc(
     information of the resulting (generally non-product) dyadic PMF along
     with the per-use penalty bound C - D/k.
     """
-    _check_block(max(dmc.m, dmc.n), k, cap, "block channel would need")
+    _check_block(max(dmc.m, dmc.n), k, PRODUCT_CAP, "block channel would need")
     res = blahut_arimoto(dmc, tol=tol, max_iter=max_iter)
     p_star = clamp_support(res.p_star)
-    target = product_pmf(p_star, k, cap=cap)
+    target = product_pmf(p_star, k)
     code, d_total, probs = _ghc_with_probs(target.probs)
     mi = _block_mutual_information(dmc.h, probs, k)
     return BlockDmcReport(

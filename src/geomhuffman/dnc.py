@@ -18,7 +18,7 @@ import numpy as np
 from .approximators import _ghc_with_probs
 from .dyadic import CodeLengths
 from .errors import ConvergenceError, DimensionMismatchError
-from .pmf import PRODUCT_CAP, Pmf, _coordinate_sum, as_weights, entropy, product_pmf
+from .pmf import Pmf, _coordinate_sum, as_weights, entropy, product_pmf
 
 ROOT_RESIDUAL_TOL = 1e-12
 NEWTON_STEPS = 60
@@ -263,7 +263,7 @@ def lec(spec: DncSpec, tol: float = 1e-12, max_iter: int = 1000) -> LecResult:
     )
 
 
-def optimize_block_dnc(spec: DncSpec, k: int, cap: int = PRODUCT_CAP) -> BlockDncReport:
+def optimize_block_dnc(spec: DncSpec, k: int) -> BlockDncReport:
     """Best dyadic PMF over blocks of k symbols.
 
     Block weights are sums of the component weights in lexicographic tuple
@@ -272,7 +272,7 @@ def optimize_block_dnc(spec: DncSpec, k: int, cap: int = PRODUCT_CAP) -> BlockDn
     C - D / (k * w_min).
     """
     capacity = dnc_capacity(spec)
-    target = product_pmf(capacity.p_star, k, cap=cap)
+    target = product_pmf(capacity.p_star, k)
     code, d_total, probs = _ghc_with_probs(target.probs)
 
     avg_weight = _coordinate_sum(probs, spec.m, k, spec.w)

@@ -31,6 +31,8 @@ MAX_TREE_LEN = 1024  # hard cap on finite lengths (2.0**-l stays exact well belo
 _DEPTH_ENTRIES = np.array([*range(MAX_TREE_LEN + 1), INF], dtype=object)
 ENUM_MAX_SYMBOLS = 12
 ENUM_MAX_DEPTH = 12
+# divergences within this of each other tie in the oracle's scan
+ORACLE_TIE_TOL = 1e-12
 
 
 def _check_length(entry) -> "int | float":
@@ -70,14 +72,6 @@ def _finite_histogram(entries: tuple) -> Counter:
     if hist and min(hist) < 0:
         raise ValueError("lengths must be nonnegative")
     return hist
-
-
-def _raise_first_error(entries: tuple, max_len: int):
-    """Raise for the first entry, in order, that is malformed or above max_len."""
-    for raw in entries:
-        entry = _check_length(raw)
-        if entry != INF and entry > max_len:
-            raise GuardExceededError(f"length {entry} exceeds cap {max_len}")
 
 
 def _kraft_units(hist: dict) -> tuple:
@@ -123,7 +117,8 @@ class CodeLengths:
         if not hist:
             raise ValueError("need at least one finite length")
         if max(hist) > MAX_TREE_LEN:
-            _raise_first_error(entries, MAX_TREE_LEN)
+            first = next(e for e in entries if MAX_TREE_LEN < e < INF)
+            raise GuardExceededError(f"length {first} exceeds cap {MAX_TREE_LEN}")
         _require_kraft_one(hist, entries)
         object.__setattr__(self, "lengths", entries)
 
@@ -399,7 +394,7 @@ def _oracle_scan(x, l_max: "int | None") -> tuple:
     return order, table, [_multiset_divergence(ms, xs, log2_xs) for ms in table]
 
 
-def brute_force_min_kl(x, l_max: "int | None" = None, tie_tol: float = 1e-12):
+def brute_force_min_kl(x, l_max: "int | None" = None):
     """Exact minimizer of D(p || x) over all dyadic PMFs of depth <= l_max.
 
     Enumerates every full-code length multiset and assigns sorted lengths to
@@ -407,12 +402,12 @@ def brute_force_min_kl(x, l_max: "int | None" = None, tie_tol: float = 1e-12):
     codeword).  Ties are broken by the lexicographically smallest
     non-decreasing length vector: the table is in increasing order, so a
     later multiset replaces the best only when it is better by more than
-    tie_tol.  Returns (CodeLengths, divergence_bits).
+    ORACLE_TIE_TOL.  Returns (CodeLengths, divergence_bits).
     """
     order, table, divs = _oracle_scan(x, l_max)
     best_ms, best_d = table[0], divs[0]
     for ms, d in zip(table, divs):
-        if d < best_d - tie_tol:
+        if d < best_d - ORACLE_TIE_TOL:
             best_d, best_ms = d, ms
 
     lengths = [INF] * order.size
@@ -421,8 +416,9 @@ def brute_force_min_kl(x, l_max: "int | None" = None, tie_tol: float = 1e-12):
     return CodeLengths(tuple(lengths)), best_d
 
 
-def brute_force_optima(x, l_max: "int | None" = None, tie_tol: float = 1e-12) -> list:
-    """All optimal length multisets within tie_tol of the minimum divergence."""
+def brute_force_optima(x, l_max: "int | None" = None) -> list:
+    """All optimal length multisets within ORACLE_TIE_TOL of the minimum
+    divergence."""
     _, table, divs = _oracle_scan(x, l_max)
     best = min(divs)
-    return [ms for ms, d in zip(table, divs) if d <= best + tie_tol]
+    return [ms for ms, d in zip(table, divs) if d <= best + ORACLE_TIE_TOL]

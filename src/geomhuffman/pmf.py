@@ -159,14 +159,15 @@ def _check_block(base: int, k: int, cap: int, what: str):
     raise GuardExceededError(f"{what} {size} entries, cap is {cap}")
 
 
-def product_pmf(p: Pmf, k: int, cap: int = PRODUCT_CAP) -> Pmf:
-    """k-fold product PMF over m**k tuples in lexicographic order.
+def product_pmf(p: Pmf, k: int) -> Pmf:
+    """k-fold product PMF over m**k tuples in lexicographic order, at most
+    PRODUCT_CAP of them.
 
     The first symbol of a tuple is the most significant index.  The result
     is renormalized by its own sum (a factor within k*SUM_TOL of 1) so that
     accumulated rounding never trips the PMF sum check.
     """
-    _check_block(p.m, k, cap, "product PMF would hold")
+    _check_block(p.m, k, PRODUCT_CAP, "product PMF would hold")
     out = p.probs
     for _ in range(k - 1):
         out = np.kron(out, p.probs)

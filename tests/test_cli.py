@@ -316,7 +316,8 @@ class TestSubcommands:
     @pytest.mark.parametrize(
         "argv",
         [("dmc", "dmc", "--tol", "nan"), ("dmc", "dmc", "--tol", "inf"),
-         ("dnc", "dnc", "--lec", "--tol", "nan")],
+         ("dnc", "dnc", "--lec", "--tol", "nan"), ("dnc", "dnc", "--tol", "nan"),
+         ("dnc", "dnc", "--block", "2", "--tol", "inf")],
     )
     def test_non_finite_tolerance_is_input_error(self, capsys, specs, argv):
         command, key, *flags = argv

@@ -159,17 +159,32 @@ def codebook_texts(draw):
     return "\n".join(rows) + "\n"
 
 
+@st.composite
+def spec_runs(draw):
+    """(command, spec JSON text, whether an entry is not a number, flags)."""
+    command, text, non_number = draw(spec_docs())
+    return command, text, non_number, draw(_flags(command))
+
+
+# --tol values that dmc and dnc must refuse in every mode
+BAD_TOLS = ["nan", "inf", "0", "-1"]
+_DNC_123 = '{"type": "dnc", "weights": [1, 2, 3]}'
+
+
 @settings(max_examples=300, deadline=None)
-@given(data=st.data())
-def test_spec_commands_exit_cleanly(workdir, data):
-    command, text, non_number = data.draw(spec_docs())
+@given(run=spec_runs())
+@example(run=("dnc", _DNC_123, False, {"--tol": "nan"}))
+@example(run=("dnc", _DNC_123, False, {"--block": "2", "--tol": "0"}))
+def test_spec_commands_exit_cleanly(workdir, run):
+    command, text, non_number, flags = run
     path = workdir / "spec.json"
     path.write_text(text)
-    flags = data.draw(_flags(command))
     code, out, err = run_main([command, str(path)] + _argv_flags(flags))
     check_outcome(code, out, err, flags.get("--format", "json"))
     if non_number:
         assert code == 1, (text, err)
+    if command in ("dmc", "dnc") and flags.get("--tol") in BAD_TOLS:
+        assert code != 0, (text, flags, out)
 
 
 @settings(max_examples=200, deadline=None)

@@ -20,6 +20,7 @@ from geomhuffman import (
     mutual_information,
     optimize_block_dmc,
 )
+from geomhuffman.pmf import _check_block
 
 # input 0 -> output 0 surely; input 1 -> output 1 with probability 0.5
 Z_CHANNEL = DmcSpec(np.array([[1.0, 0.5], [0.0, 0.5]]))
@@ -234,4 +235,7 @@ class TestOptimizeBlockDmc:
 
     def test_cap_guard(self):
         with pytest.raises(GuardExceededError):
-            optimize_block_dmc(Z_CHANNEL, 9, cap=2**8)
+            _check_block(max(Z_CHANNEL.m, Z_CHANNEL.n), 9, 2**8, "block channel would need")
+        # the real cap refuses 2^25 block inputs before any capacity solve
+        with pytest.raises(GuardExceededError, match="need 33554432 entries, cap is 16777216"):
+            optimize_block_dmc(Z_CHANNEL, 25)

@@ -12,6 +12,7 @@ from geomhuffman import (
     kl_divergence,
     product_pmf,
 )
+from geomhuffman.pmf import _check_block
 
 Q5 = np.array([0.328, 0.32, 0.22, 0.11, 0.022])
 
@@ -127,7 +128,7 @@ class TestProductPmf:
 
     def test_cap_error_names_sizes(self):
         with pytest.raises(GuardExceededError, match="1024"):
-            product_pmf(Pmf(np.array([0.5, 0.5])), 10, cap=1024 - 1)
+            _check_block(2, 10, 1024 - 1, "product PMF would hold")
 
     def test_block_length_below_one_rejected(self):
         for k in (0, -3):
@@ -142,7 +143,8 @@ class TestProductPmf:
                 product_pmf(p, k)
 
     def test_single_symbol_block_within_cap(self):
-        assert product_pmf(Pmf(np.array([1.0])), 50, cap=1).probs.tolist() == [1.0]
+        _check_block(1, 50, 1, "product PMF would hold")
+        assert product_pmf(Pmf(np.array([1.0])), 50).probs.tolist() == [1.0]
 
     def test_entropy_scales_linearly(self):
         rng = np.random.default_rng(3)

@@ -40,7 +40,7 @@ from geomhuffman import (
     product_pmf,
     simulate,
 )
-from geomhuffman import approximators
+from geomhuffman import approximators, dyadic
 from geomhuffman.cli import emit_report
 from geomhuffman.dnc import ROOT_RESIDUAL_TOL
 from geomhuffman.errors import ConvergenceError, GuardExceededError
@@ -169,11 +169,11 @@ class TestBuilderMatchesHeap:
 
 
 @st.composite
-def _large_weights(draw):
-    """512 to 5000 weights, across _SCATTER_MIN_SYMBOLS and
-    BATCH_MIN_LEAVES: Dirichlet, exact ties, pairs exactly 4x apart (the
-    GHC drop boundary) or powers of two, with up to 600 of them zero."""
-    n = draw(st.integers(512, 5000))
+def _weight_vectors(draw, min_size, max_size):
+    """min_size to max_size weights: Dirichlet, exact ties, pairs exactly 4x
+    apart (the GHC drop boundary) or powers of two, with up to 600 of them
+    zero."""
+    n = draw(st.integers(min_size, max_size))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(["dirichlet", "ties", "4x apart", "dyadic"]))
     if kind == "dirichlet":
@@ -203,12 +203,13 @@ def _same_bits(got, want):
 
 
 class TestLargeCodesMatchReference:
-    """ghc, huffman and gcc from _SCATTER_MIN_SYMBOLS symbols up, where the
-    code is checked from one int64 depth array, against the heap builders
-    and the per-symbol greedy cutoff."""
+    """ghc, huffman and gcc on 512 to 5000 symbols, across BATCH_MIN_LEAVES,
+    from which ghc and huffman check the code from one int64 depth array,
+    as gcc does at every size, against the heap builders and the
+    per-symbol greedy cutoff."""
 
     @settings(max_examples=40, deadline=None)
-    @given(_large_weights())
+    @given(_weight_vectors(512, 5000))
     def test_same_lengths_and_divergence_bits(self, x):
         _same_bits(_outcome(ghc, x), _outcome(reference.ghc, x))
         if int((x > 0.0).sum()) >= 2:
@@ -219,6 +220,18 @@ class TestLargeCodesMatchReference:
     @pytest.mark.parametrize("name", ["zero weights", "4x apart", "dyadic ties", "3^11 product"])
     def test_named_inputs(self, name):
         x = _above_cutoff(name)
+        q = Pmf.normalized(x)
+        _same_bits(_outcome(gcc, q), _outcome(reference.gcc, q))
+
+
+class TestSmallGccMatchesReference:
+    """gcc on 1 to 511 symbols, whose int64 length array goes through the
+    same array route as a large code's, against the per-symbol greedy
+    cutoff: the same lengths, Python int entries and D to the bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_weight_vectors(1, 511))
+    def test_same_lengths_and_divergence_bits(self, x):
         q = Pmf.normalized(x)
         _same_bits(_outcome(gcc, q), _outcome(reference.gcc, q))
 
@@ -523,7 +536,13 @@ _oracle_weights = st.lists(
 
 
 def _oracle_outcome(oracle, x, l_max, tie_tol):
-    tag, out = _outcome(oracle, x, l_max, tie_tol)
+    """The outcome of the live oracle, whose tie tolerance is the module
+    constant ORACLE_TIE_TOL, or of the reference, which takes it."""
+    if oracle is brute_force_min_kl:
+        with mock.patch.object(dyadic, "ORACLE_TIE_TOL", tie_tol):
+            tag, out = _outcome(oracle, x, l_max)
+    else:
+        tag, out = _outcome(oracle, x, l_max, tie_tol)
     if tag != "ok":
         return tag, out
     code, d = out
