@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dyadic import INF, CodeLengths, _dyadic_probs
+from .dyadic import _DEPTH_PROBS, INF, CodeLengths
 from .pmf import Pmf, _checked_weights, kl_divergence
 
 # from this many sorted leaves up, ghc and huffman build in batched rounds;
@@ -30,7 +30,24 @@ BATCH_MIN_LEAVES = 2048
 _BATCH_RUN = 16
 
 
-def _two_queue_depths(keys: list, ties: list, merge, drop) -> list:
+def _rounds_depths(rounds: list, root: int, c: int, n: int) -> np.ndarray:
+    """Int64 depths of the n leaves among a build's c nodes, by one reverse
+    pass over its rounds of (first parent id, children in pair order), as
+    parents have larger ids than their children.  A dropped node keeps the
+    start value -c; its subtree is fewer than c levels deep, so every leaf
+    beneath it ends negative too."""
+    depth = np.full(c, -c, np.int64)
+    depth[root] = 0
+    dv = memoryview(depth)
+    for first, kids in reversed(rounds):
+        if type(kids) is tuple:
+            dv[kids[0]] = dv[kids[1]] = dv[first] + 1
+        else:
+            depth[kids] = np.repeat(depth[first:first + kids.size // 2], 2) + 1
+    return depth[:n]
+
+
+def _two_queue_depths(keys: list, ties: list, merge, drop) -> np.ndarray:
     """Leaf depths of the tree built by repeatedly combining the two nodes
     that pop first, in van Leeuwen's two-queue form.
 
@@ -44,7 +61,7 @@ def _two_queue_depths(keys: list, ties: list, merge, drop) -> list:
     FIFO; among equal keys a new node goes ahead of pending ones with a
     smaller tie index, which keeps the pop order total and deterministic.
 
-    Returns depths per leaf, in the given order; dropped leaves get inf.
+    Returns int64 depths per leaf in the given order, negative if dropped.
     """
     n = len(keys)
     keys = keys + [INF]  # sentinel: a merged node always pops ahead of it
@@ -52,7 +69,7 @@ def _two_queue_depths(keys: list, ties: list, merge, drop) -> list:
     qk: list = []  # merged queue: keys, tie indices, node ids; pending from j
     qt: list = []
     qn: list = []
-    parent = [-1] * n  # node ids: leaves 0..n-1, merged nodes from n up
+    rounds = []  # (parent id, its children); leaves 0..n-1, merged from n up
     i = j = tail = 0
     ki, ti = keys[0], ties[0]  # the next leaf
     c = n
@@ -77,8 +94,7 @@ def _two_queue_depths(keys: list, ties: list, merge, drop) -> list:
             b, tb = i, ti
             i += 1
             ki, ti = keys[i], ties[i]
-        parent[a] = parent[b] = c
-        parent.append(-1)
+        rounds.append((c, (a, b)))
         kc = merge(ka, kb)
         tc = ta if ta < tb else tb
         if j < tail and qk[-1] == kc and qt[-1] < tc:
@@ -95,20 +111,12 @@ def _two_queue_depths(keys: list, ties: list, merge, drop) -> list:
         tail += 1
         c += 1
 
-    # parents have larger ids than their children: one reverse pass
-    depth = [INF] * c
-    depth[qn[j] if j < tail else i] = 0
-    for node in range(c - 1, -1, -1):
-        up = parent[node]
-        if up >= 0:
-            depth[node] = depth[up] + 1
-    del depth[n:]
-    return depth
+    return _rounds_depths(rounds, qn[j] if j < tail else i, c, n)
 
 
 def _batched_depths(keys: np.ndarray, ties: np.ndarray, merge, drop) -> np.ndarray:
     """:func:`_two_queue_depths` replayed in rounds of numpy steps, with the
-    same depths as an int64 array, negative for dropped leaves.
+    same depths, negative for dropped leaves.
 
     A round pops the first two pending nodes a and b.  When the drop rule
     holds, a goes, as in one scalar step.  Otherwise their parent's key
@@ -119,8 +127,8 @@ def _batched_depths(keys: np.ndarray, ties: np.ndarray, merge, drop) -> np.ndarr
     pending.  No pair among them meets GHC's drop rule, since they lie in
     [ka, kc), a span below 2.  The parents join the queue, whose run of
     keys equal to the first new one is then put in tie order, as the
-    scalar insert keeps it.  Depths come from one reverse pass over the
-    rounds.
+    scalar insert keeps it.  The rounds, in the scalar loop's form, go
+    through the same reverse pass, :func:`_rounds_depths`.
 
     A round is batched only when the leaves or the queue hold more than
     _BATCH_RUN nodes below kc besides a and b, so a and b lie below kc
@@ -198,48 +206,29 @@ def _batched_depths(keys: np.ndarray, ties: np.ndarray, merge, drop) -> np.ndarr
         c += pairs
         tail += pairs
 
-    # a dropped node keeps the start value -c; its subtree is fewer than c
-    # levels deep, so every leaf beneath it ends negative too
-    depth = np.full(c, -c, np.int64)
-    depth[qn[j] if j < tail else i] = 0
-    dv = memoryview(depth)
-    for first, kids in reversed(rounds):
-        if type(kids) is tuple:
-            dv[kids[0]] = dv[kids[1]] = dv[first] + 1
-        else:
-            depth[kids] = np.repeat(depth[first:first + kids.size // 2], 2) + 1
-    return depth[:n]
+    return _rounds_depths(rounds, qn[j] if j < tail else i, c, n)
 
 
-def _tree_depths(keys: np.ndarray, ties: np.ndarray, merge, drop):
-    """Leaf depths of the two-queue build: the batched rounds' int64 array
-    from BATCH_MIN_LEAVES leaves up, the scalar loop's list below."""
+def _tree_depths(keys: np.ndarray, ties: np.ndarray, merge, drop) -> np.ndarray:
+    """Int64 leaf depths of the two-queue build, negative where dropped: the
+    batched rounds' from BATCH_MIN_LEAVES leaves up, the scalar loop's below."""
     if keys.size >= BATCH_MIN_LEAVES:
         return _batched_depths(keys, ties, merge, drop)
     return _two_queue_depths(keys.tolist(), ties.tolist(), merge, drop)
 
 
-def _code_and_divergence(order: np.ndarray, depths, arr: np.ndarray) -> tuple:
-    """CodeLengths in symbol order from the depths of the symbols of order,
-    D(p || arr), and p, the code's probabilities 2**-l as a float64 array.
+def _code_and_divergence(order: np.ndarray, depths: np.ndarray, arr: np.ndarray) -> tuple:
+    """CodeLengths in symbol order from the int64 depths of the symbols of
+    order, negative where dropped; D(p || arr); and p, the code's
+    probabilities 2**-l as a float64 array.
 
-    depths is the scalar loop's list, with inf for dropped leaves, which
-    goes through the public constructor; or an int64 array, negative where
-    dropped, from the batched rounds or gcc, which is scattered into one
-    symbol-order array, -1 where dropped, that both the code and p come
-    from.
+    The depths are scattered into one symbol-order array, -1 where dropped,
+    which CodeLengths._from_depths checks and p is read from.
     """
-    if type(depths) is list:
-        entries = [INF] * arr.size
-        for sym, depth in zip(order.tolist(), depths):
-            entries[sym] = depth
-        code = CodeLengths(tuple(entries))
-        p = _dyadic_probs(code.lengths)
-        return code, kl_divergence(p, arr), p
     d = np.full(arr.size, -1, np.int64)
     d[order] = np.maximum(depths, -1)
     code = CodeLengths._from_depths(d)
-    p = np.exp2(-d, out=np.zeros(d.size), where=d >= 0)  # the bits of 2.0**-l
+    p = _DEPTH_PROBS[d]
     return code, kl_divergence(p, arr), p
 
 
@@ -276,15 +265,15 @@ def ghc(x) -> tuple:
     parent has v'' >= v_b + 1 >= v'.  After one sort the build is therefore
     linear, with merged nodes in a FIFO beside the sorted leaves (van
     Leeuwen's two-queue method); the whole run is O(m log m) for the sort
-    plus O(m).  From BATCH_MIN_LEAVES kept symbols up, that build runs in
-    batched rounds, each pairing in a few numpy steps every pending node
-    that pops before the round's first parent could, with the same
-    lengths, and the depths stay one int64 array from the build to the
-    result: the code's exact Kraft check walks its histogram, and only the
-    lengths tuple is built per symbol.  Below it the build is one scalar
-    loop.  Dropped nodes may be whole subtrees; every leaf beneath one gets
-    length inf.  Among equal v the lower original symbol index ends up with
-    the shorter (or equal) codeword, which keeps outputs deterministic.
+    plus O(m).  Below BATCH_MIN_LEAVES kept symbols the build is one
+    scalar loop; from there up it runs in batched rounds, each pairing in
+    a few numpy steps every pending node that pops before the round's
+    first parent could, with the same lengths.  Either way the depths are
+    one int64 array from the build to the result: the code's exact Kraft
+    check walks its histogram, and only the lengths tuple is built per
+    symbol.  Dropped nodes may be whole subtrees; every leaf beneath one
+    gets length inf.  Among equal v the lower original symbol index ends up
+    with the shorter (or equal) codeword, which keeps outputs deterministic.
 
     Returns (CodeLengths in original symbol order, divergence in bits).
     Zero-weight symbols always get length inf.
@@ -314,9 +303,9 @@ def huffman(x) -> tuple:
     """Classical Huffman lengths for weight vector x, merging the two
     smallest weights into their sum.  No symbol is dropped.
 
-    The build shares :func:`ghc`'s two-queue builder, keyed on x, and its
+    The build shares :func:`ghc`'s two-queue builder, keyed on x, its
     choice between the scalar loop and the batched rounds by the number of
-    symbols.
+    symbols, and its one int64 depth array from the build to the code.
 
     The reported divergence is D(p || x) for the induced dyadic p, for
     comparison with :func:`ghc`; it is not the quantity Huffman coding

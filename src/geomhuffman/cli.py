@@ -80,13 +80,17 @@ def _flat_value(value) -> str:
     return str(value)
 
 
+def _check_format(fmt: str):
+    if fmt not in ("json", "csv"):
+        raise _UsageError(f"unknown format flag {fmt!r}")
+
+
 def emit_report(report: dict, fmt: str = "json") -> str:
     """Serialize a report dict; fmt is 'json' or 'csv'."""
+    _check_format(fmt)
     if fmt == "json":
         return _json_value(report)
-    if fmt == "csv":
-        return "\n".join(f"{key},{_flat_value(value)}" for key, value in report.items())
-    raise _UsageError(f"unknown format flag {fmt!r}")
+    return "\n".join(f"{key},{_flat_value(value)}" for key, value in report.items())
 
 
 def _pmf_json(p: Pmf) -> list:
@@ -430,6 +434,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        # a bad format is refused before any work or written codebook
+        _check_format(args.format)
         report, summary = args.func(args)
         out = emit_report(report, args.format)
     except (_UsageError, SpecFileError, ValueError) as exc:

@@ -27,8 +27,10 @@ from .pmf import PRODUCT_CAP, Pmf, _checked_weights
 INF = math.inf
 
 MAX_TREE_LEN = 1024  # hard cap on finite lengths (2.0**-l stays exact well below this)
-# length entries by depth, 0..MAX_TREE_LEN, with inf last so that depth -1 picks it
+# length entries by depth, 0..MAX_TREE_LEN, with inf last so that depth -1
+# picks it; and their probabilities 2**-l, each an exact double, 0.0 last
 _DEPTH_ENTRIES = np.array([*range(MAX_TREE_LEN + 1), INF], dtype=object)
+_DEPTH_PROBS = np.append(np.exp2(-np.arange(MAX_TREE_LEN + 1.0)), 0.0)
 ENUM_MAX_SYMBOLS = 12
 ENUM_MAX_DEPTH = 12
 # divergences within this of each other tie in the oracle's scan
@@ -124,7 +126,8 @@ class CodeLengths:
 
     @classmethod
     def _from_depths(cls, depths: np.ndarray) -> "CodeLengths":
-        """The code of an int64 depth array, -1 marking dropped symbols.
+        """The code of an int64 depth array, -1 marking dropped symbols; the
+        route of every code that ghc, huffman, gcc and from_codewords build.
 
         Accepts and rejects what the constructor does for the tuple with
         inf in place of each -1, with the same errors, and stores the same
@@ -134,14 +137,14 @@ class CodeLengths:
         """
         if depths.size == 0:
             raise ValueError("empty length vector")
-        if int(depths.min()) < -1:
-            raise ValueError("lengths must be nonnegative")
-        if int(depths.max()) > MAX_TREE_LEN:
+        try:
+            counts = np.bincount(depths + 1)  # bin 0 counts the dropped symbols
+        except ValueError:  # a depth below -1
+            raise ValueError("lengths must be nonnegative") from None
+        if counts.size > MAX_TREE_LEN + 2:
             first = int(depths[np.argmax(depths > MAX_TREE_LEN)])
             raise GuardExceededError(f"length {first} exceeds cap {MAX_TREE_LEN}")
-        # bin 0 counts the dropped symbols
-        counts = np.bincount(depths + 1)[1:].tolist()
-        hist = {length: n for length, n in enumerate(counts) if n}
+        hist = {length: n for length, n in enumerate(counts[1:].tolist()) if n}
         if not hist:
             raise ValueError("need at least one finite length")
         entries = tuple(_DEPTH_ENTRIES[depths].tolist())
@@ -259,10 +262,8 @@ class CodeTree:
         units, deepest = _kraft_units(Counter(map(len, words)))
         if units != 1 << deepest:
             raise ValueError("codewords do not form a full tree (Kraft sum below 1)")
-        lengths = [INF] * len(codewords)
-        for sym, word in kept:
-            lengths[sym] = len(word)
-        return cls(CodeLengths(tuple(lengths)), codewords)
+        depths = np.array([-1 if word is None else len(word) for word in codewords], np.int64)
+        return cls(CodeLengths._from_depths(depths), codewords)
 
     @property
     def is_single_leaf(self) -> bool:

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,14 +8,18 @@ from hypothesis import strategies as st
 
 from geomhuffman import (
     INF,
+    CodeLengths,
     DyadicPmf,
     Pmf,
     brute_force_min_kl,
     brute_force_optima,
+    canonical_tree,
+    codebook_text,
     gcc,
     ghc,
     huffman,
     kl_divergence,
+    parse_codebook,
 )
 from geomhuffman.pmf import _checked_weights
 
@@ -255,3 +260,35 @@ class TestDominanceChain:
                 code, d = algo(q)
                 again = kl_divergence(DyadicPmf.from_code(code).probs, q)
                 assert d == again
+
+
+def _route(build, *args) -> tuple:
+    """How often build(*args) checks a code through CodeLengths._from_depths
+    and through the public constructor."""
+    from_depths, post_init = CodeLengths._from_depths, CodeLengths.__post_init__
+    with mock.patch.object(CodeLengths, "_from_depths", wraps=from_depths) as arrays, \
+            mock.patch.object(CodeLengths, "__post_init__", autospec=True, side_effect=post_init) as tuples:
+        build(*args)
+    return arrays.call_count, tuples.call_count
+
+
+class TestOneRouteToCodeLengths:
+    """Every code that ghc, huffman, gcc and parse_codebook build, on both
+    sides of BATCH_MIN_LEAVES, reaches CodeLengths as one int64 depth array
+    checked by _from_depths, never through the public constructor."""
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 511, 2047, 2048, 2600])
+    def test_built_codes(self, m):
+        rng = np.random.default_rng(m)
+        x = rng.dirichlet(np.ones(m))
+        if m >= 5 and m != 2048:
+            # 2600 keeps 2080 positive weights, so ghc still builds in rounds
+            x[rng.choice(m, m // 5, replace=False)] = 0.0
+        assert _route(ghc, x) == (1, 0)
+        assert _route(gcc, Pmf.normalized(x)) == (1, 0)
+        if m >= 2:
+            assert _route(huffman, x) == (1, 0)
+
+    def test_parsed_codebook(self):
+        text = codebook_text(canonical_tree(ghc(Q5)[0]))
+        assert _route(parse_codebook, text) == (1, 0)

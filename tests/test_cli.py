@@ -304,10 +304,13 @@ class TestSubcommands:
         named = "--symbols" if source == "--symbols" else value
         assert err == f"error: {named}: symbol '{'1' * 20}...' of 5000 digits is out of range\n"
 
-    def test_unknown_format_flag_is_input_error(self, capsys, specs):
-        code, _, err = run(capsys, "ghc", specs["pmf"], "--format", "yaml")
-        assert code == 1
-        assert "unknown format" in err
+    def test_unknown_format_flag_is_input_error(self, capsys, specs, tmp_path):
+        codebook = tmp_path / "cb.tsv"
+        code, out, err = run(capsys, "ghc", specs["pmf"], "--codebook", str(codebook), "--format", "yaml")
+        assert code == 1 and out == ""
+        assert err == "error: unknown format flag 'yaml'\n"
+        # refused before the code is built and its codebook written
+        assert not codebook.exists()
 
     def test_missing_file_is_input_error(self, capsys):
         code, _, _ = run(capsys, "ghc", "/definitely/not/here.json")

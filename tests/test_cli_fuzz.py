@@ -179,8 +179,15 @@ def test_spec_commands_exit_cleanly(workdir, run):
     command, text, non_number, flags = run
     path = workdir / "spec.json"
     path.write_text(text)
-    code, out, err = run_main([command, str(path)] + _argv_flags(flags))
+    argv = [command, str(path)] + _argv_flags(flags)
+    codebook = workdir / "spec-cb.tsv"
+    codebook.unlink(missing_ok=True)
+    if command not in ("dmc", "dnc"):
+        argv += ["--codebook", str(codebook)]
+    code, out, err = run_main(argv)
     check_outcome(code, out, err, flags.get("--format", "json"))
+    # a refused call, such as one with --format yaml, writes no codebook
+    assert code == 0 or not codebook.exists(), (argv, err)
     if non_number:
         assert code == 1, (text, err)
     if command in ("dmc", "dnc") and flags.get("--tol") in BAD_TOLS:

@@ -105,8 +105,9 @@ def _from_depths_outcome(depths):
 
 
 class TestFromDepths:
-    """The int64 constructor behind large ghc, huffman and gcc calls
-    accepts, rejects and stores what the public constructor does."""
+    """The int64 constructor behind every code that ghc, huffman, gcc and
+    parse_codebook build accepts, rejects and stores what the public
+    constructor does."""
 
     @pytest.mark.parametrize(
         "depths, error, message",

@@ -204,9 +204,9 @@ def _same_bits(got, want):
 
 class TestLargeCodesMatchReference:
     """ghc, huffman and gcc on 512 to 5000 symbols, across BATCH_MIN_LEAVES,
-    from which ghc and huffman check the code from one int64 depth array,
-    as gcc does at every size, against the heap builders and the
-    per-symbol greedy cutoff."""
+    where ghc and huffman switch from the scalar loop to the batched rounds
+    and both hand the code one int64 depth array, as gcc does, against the
+    heap builders and the per-symbol greedy cutoff."""
 
     @settings(max_examples=40, deadline=None)
     @given(_weight_vectors(512, 5000))
@@ -226,7 +226,7 @@ class TestLargeCodesMatchReference:
 
 class TestSmallGccMatchesReference:
     """gcc on 1 to 511 symbols, whose int64 length array goes through the
-    same array route as a large code's, against the per-symbol greedy
+    same array route as every built code's, against the per-symbol greedy
     cutoff: the same lengths, Python int entries and D to the bit."""
 
     @settings(max_examples=200, deadline=None)
@@ -238,16 +238,17 @@ class TestSmallGccMatchesReference:
 
 def _both_builds(keys, ties, merge, drop):
     """The scalar two-queue depths, after checking that the batched rounds,
-    called on the same keys whatever their number, give the same ones: an
-    int64 depth below 0 where the scalar loop gives inf, the same int
-    elsewhere.  With a run of 0, every round that has a third node above
+    called on the same keys whatever their number, give the same ones: two
+    int64 arrays, equal once every depth below 0 (a dropped leaf) is
+    clipped to -1.  With a run of 0, every round that has a third node above
     its key bound is batched, so small inputs take the numpy steps too."""
     want = approximators._two_queue_depths(keys.tolist(), ties.tolist(), merge, drop)
+    assert want.dtype == np.int64
     for run in (0, approximators._BATCH_RUN):
         with mock.patch.object(approximators, "_BATCH_RUN", run):
             got = approximators._batched_depths(keys, ties, merge, drop)
         assert got.dtype == np.int64
-        assert [INF if depth < 0 else depth for depth in got.tolist()] == want
+        assert np.array_equal(np.maximum(got, -1), np.maximum(want, -1))
     return want
 
 
