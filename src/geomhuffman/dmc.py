@@ -87,29 +87,43 @@ def _check_dims(dmc: DmcSpec, p: Pmf):
         )
 
 
+def _divergence_buffers(h: np.ndarray) -> tuple:
+    """The ``where``, ``lg`` and ``work`` arguments that
+    :func:`_per_input_divergence` takes for h.
+
+    Without a zero in h every log is taken, in place in ``work``.  With one,
+    ``where`` is the mask h > 0 and ``lg`` a zeroed array whose entries
+    outside the mask stay 0, so those terms add exactly +0.0.
+    """
+    work = np.empty_like(h)
+    if h.all():
+        return True, work, work
+    return h > 0.0, np.zeros_like(h), work
+
+
 def _per_input_divergence(
-    h: np.ndarray, r: np.ndarray, mask: np.ndarray, lg: np.ndarray, work: np.ndarray
+    h: np.ndarray, r_col: np.ndarray, where, lg: np.ndarray, work: np.ndarray, out=None
 ) -> np.ndarray:
     """D_i = sum_j h_ji log2(h_ji / r_j) for each input i, in bits.
 
-    Terms with h_ji = 0 contribute 0; h_ji > 0 with r_j = 0 yields +inf.
-    ``mask`` is h > 0, ``lg`` an array shaped like h that holds zeros
-    outside the mask (only entries inside it are ever written) and ``work``
-    scratch space shaped like h; all three depend only on h, so a solver
-    loop builds them once.  Calls must run under
-    ``np.errstate(divide="ignore", invalid="ignore")``.
+    ``r_col`` holds r as an n x 1 column.  ``where``, ``lg`` and ``work``
+    come from :func:`_divergence_buffers` and depend only on h, so a solver
+    loop builds them once; ``out``, if given, receives D.  Terms with
+    h_ji = 0 contribute 0; h_ji > 0 with r_j = 0 yields +inf.  The sum over
+    j runs in row order, as ``work.sum(axis=0)`` does.  Calls must run
+    under ``np.errstate(divide="ignore", invalid="ignore")``.
     """
-    np.divide(h, r[:, None], out=work)
-    np.log2(work, out=lg, where=mask)
+    np.divide(h, r_col, out=work)
+    np.log2(work, out=lg, where=where)
     # h_ji * lg_ji is exactly +0.0 wherever h_ji = 0
     np.multiply(h, lg, out=work)
-    return work.sum(axis=0)
+    return np.add.reduce(work, axis=0, out=out)
 
 
 def _divergence_at(h: np.ndarray, r: np.ndarray) -> np.ndarray:
     """:func:`_per_input_divergence` for a single output PMF r."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        return _per_input_divergence(h, r, h > 0.0, np.zeros_like(h), np.empty_like(h))
+        return _per_input_divergence(h, r[:, None], *_divergence_buffers(h))
 
 
 def mutual_information(dmc: DmcSpec, p: Pmf) -> float:
@@ -124,37 +138,61 @@ def mutual_information(dmc: DmcSpec, p: Pmf) -> float:
 def blahut_arimoto(dmc: DmcSpec, tol: float = 1e-9, max_iter: int = 100_000) -> CapacityResult:
     """Capacity and capacity-achieving PMF by alternating maximization.
 
-    Starts from the uniform input PMF (deterministic) and stops when the
-    standard gap max_i D_i - sum_i p_i D_i drops below tol; that gap
-    brackets the true capacity from above and below.  The loop works on
-    plain arrays and builds the validated result once, from the iterate
-    whose gap it reports.  Raises ConvergenceError (carrying that result
-    as the best iterate) if max_iter is hit first or the update underflows.
+    Starts from the uniform input PMF (deterministic).  Each iteration
+    computes r = h p and the divergences D_i = D(h_i || r); it stops when
+    the gap max_i D_i - sum_i p_i D_i drops below tol, since that gap
+    brackets the true capacity from above and below, and otherwise updates
+    p_i <- p_i 2^(D_i - top) / sum, where top is the largest D_i over
+    inputs with p_i > 0.  An input whose p_i reaches 0 stays at 0 and is
+    left out of the sum and of top.
+
+    The loop reuses its arrays from one iteration to the next and skips
+    the masks while every p_i is positive; its iterates are bit for bit
+    those of the plain loop kept in ``tests/reference.py``.  The validated
+    result is built once, from the iterate whose gap it reports.  Raises
+    ConvergenceError (carrying that result as the best iterate) if
+    max_iter is hit first or the update underflows.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError("tol must be finite and positive")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     h = dmc.h
-    mask, lg, work = h > 0.0, np.zeros_like(h), np.empty_like(h)
-    p = np.full(dmc.m, 1.0 / dmc.m)
+    n, m = h.shape
+    where, lg, work = _divergence_buffers(h)
+    r, div, scaled = np.empty(n), np.empty(m), np.empty(m)
+    r_col = r[:, None]
+    p, last = np.full(m, 1.0 / m), np.empty(m)
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(max_iter):
-            r = h @ p
-            div = _per_input_divergence(h, r, mask, lg, work)
-            live = p > 0.0
-            lower = float(p[live] @ div[live])
-            gap = float(div.max() - lower)
+            np.dot(h, p, out=r)
+            _per_input_divergence(h, r_col, where, lg, work, out=div)
+            dmax = float(np.maximum.reduce(div))
+            if np.count_nonzero(p) == m:
+                live = None
+                lower = float(np.dot(p, div))
+                top = dmax
+            else:
+                live = p > 0.0
+                lower = float(p[live] @ div[live])
+                top = float(div[live].max())
+            gap = dmax - lower
             if gap <= tol:
                 return CapacityResult(C=lower, p_star=Pmf.normalized(p), achieved_tol=gap)
-            top = float(div[live].max())
             if not math.isfinite(top):
                 raise ConvergenceError(
                     "capacity solver hit numerical underflow",
                     best=CapacityResult(C=lower, p_star=Pmf.normalized(p), achieved_tol=gap),
                 )
-            scaled = np.where(live, p * np.exp2(div - top), 0.0)
-            last, p = p, scaled / scaled.sum()
+            np.subtract(div, top, out=scaled)
+            np.exp2(scaled, out=scaled)
+            np.multiply(p, scaled, out=scaled)
+            if live is not None:
+                scaled[~live] = 0.0
+            # the new iterate goes into the spare buffer; `last` then names
+            # the one whose gap was just taken
+            np.divide(scaled, np.add.reduce(scaled), out=last)
+            p, last = last, p
     raise ConvergenceError(
         f"capacity solver did not reach tol={tol} within {max_iter} iterations "
         f"(gap {gap:.3e})",

@@ -53,7 +53,14 @@ class Pmf:
 
     @classmethod
     def normalized(cls, values) -> "Pmf":
-        """Build a Pmf from a nonnegative vector, dividing by its sum."""
+        """Build a Pmf from a nonnegative vector, dividing by its sum.
+
+        The input is checked once.  The quotients then need no second
+        check: each lies in [0, 1] (the rounded sum of nonnegative entries
+        is at least the largest one) and they sum to 1 within rounding.
+        The one exception is a sum that overflows to inf, which makes every
+        quotient 0; it is rejected as the constructor rejects a zero sum.
+        """
         arr = np.asarray(values, dtype=np.float64).reshape(-1)
         if arr.size < 1:
             raise ValueError("a PMF needs at least one entry")
@@ -62,7 +69,9 @@ class Pmf:
         total = arr.sum()
         if total <= 0.0:
             raise ValueError("cannot normalize a vector with zero sum")
-        return cls(arr / total)
+        if total == math.inf:
+            raise ValueError(f"PMF entries sum to 0.0, expected 1 within {SUM_TOL}")
+        return cls._exact(arr / total)
 
     @classmethod
     def _exact(cls, arr: np.ndarray) -> "Pmf":

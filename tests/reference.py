@@ -1,8 +1,9 @@
 """Reference implementations kept only for the tests.
 
 These are the heap-based ``ghc`` and ``huffman`` tree builders, the
-per-symbol greedy cutoff of ``gcc``, the per-element Kraft-sum fold and
-the entry-by-entry ``CodeLengths`` check that the package used before its
+per-symbol greedy cutoff of ``gcc``, the per-element Kraft-sum fold,
+``Pmf.normalized`` as it was when it checked its quotients a second time
+through the constructor, the entry-by-entry ``CodeLengths`` check that the package used before its
 two-queue builder, histogram walk and histogram Kraft check, the LEC loop that validated each code's dyadic PMF (on the
 package's own capacity solve), the Blahut-Arimoto loop that built and
 validated its result on every iteration, the brute-force oracle as it was before its scan was shared
@@ -308,6 +309,20 @@ def lec(spec: DncSpec, tol: float = 1e-12, max_iter: int = 1000) -> LecResult:
     )
 
 
+def normalized_pmf(values) -> Pmf:
+    """``Pmf.normalized`` that hands its quotients to the validating
+    constructor, which copies and checks them again."""
+    arr = np.asarray(values, dtype=np.float64).reshape(-1)
+    if arr.size < 1:
+        raise ValueError("a PMF needs at least one entry")
+    if np.any(arr < 0.0) or not np.all(np.isfinite(arr)):
+        raise ValueError("entries must be finite and nonnegative")
+    total = arr.sum()
+    if total <= 0.0:
+        raise ValueError("cannot normalize a vector with zero sum")
+    return Pmf(arr / total)
+
+
 def _per_input_divergence(h: np.ndarray, r: np.ndarray) -> np.ndarray:
     mask = h > 0.0
     lg = np.zeros_like(h)
@@ -331,7 +346,7 @@ def blahut_arimoto(dmc, tol: float = 1e-9, max_iter: int = 100_000) -> CapacityR
         live = p > 0.0
         lower = float(p[live] @ div[live])
         gap = float(div.max() - lower)
-        result = CapacityResult(C=lower, p_star=Pmf.normalized(p), achieved_tol=gap)
+        result = CapacityResult(C=lower, p_star=normalized_pmf(p), achieved_tol=gap)
         if gap <= tol:
             return result
         top = float(div[live].max())

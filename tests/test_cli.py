@@ -1,5 +1,6 @@
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +11,10 @@ from geomhuffman.errors import SpecFileError
 PAPER_PMF = '{"type": "pmf", "probs": [0.328, 0.32, 0.22, 0.11, 0.022]}'
 Z_DMC = '{"type": "dmc", "transition": [[1.0, 0.5], [0.0, 0.5]]}'
 W123_DNC = '{"type": "dnc", "weights": [1, 2, 3]}'
+# `dmc` stdout, byte for byte, on the Z channel at blocks 1 and 2, a 4x4
+# channel with zero entries and a 16x16 Dirichlet(1) channel at tol 1e-9:
+# every digit of C, the gap and p_star follows from the solver's iterates
+DMC_GOLDEN = json.loads((Path(__file__).parent / "data" / "dmc_stdout.json").read_text())
 
 
 @pytest.fixture
@@ -179,6 +184,14 @@ class TestSubcommands:
         report = json.loads(out)
         assert report["block"] == 2
         assert report["lengths"] == [2, 2, 2, 2]
+
+    @pytest.mark.parametrize("case", DMC_GOLDEN, ids=[case["name"] for case in DMC_GOLDEN])
+    def test_dmc_stdout_bytes(self, capsys, tmp_path, case):
+        path = tmp_path / "spec.json"
+        path.write_text(case["spec"])
+        code, out, _ = run(capsys, "dmc", str(path), *case["flags"])
+        assert code == 0
+        assert out == case["stdout"]
 
     def test_dnc_lec(self, capsys, specs):
         code, out, _ = run(capsys, "dnc", specs["dnc"], "--lec")

@@ -45,6 +45,45 @@ class TestPmfConstruction:
         with pytest.raises(ValueError):
             Pmf.normalized([0.0, 0.0])
 
+    # each rejection's message and each result's bytes as the normalizing
+    # constructor gave them when it checked its quotients a second time
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ([], "a PMF needs at least one entry"),
+            ([-1.0, 2.0], "entries must be finite and nonnegative"),
+            ([math.nan, 1.0], "entries must be finite and nonnegative"),
+            ([math.inf, 1.0], "entries must be finite and nonnegative"),
+            ([0.0, 0.0], "cannot normalize a vector with zero sum"),
+            ([-0.0, 0.0], "cannot normalize a vector with zero sum"),
+            # the sum overflows to inf, so every quotient is 0
+            ([1e308, 1e308], "PMF entries sum to 0.0, expected 1 within 1e-09"),
+            ([1.7976931348623157e308] * 3, "PMF entries sum to 0.0, expected 1 within 1e-09"),
+        ],
+    )
+    def test_normalized_rejections(self, values, message):
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError) as info:
+                Pmf.normalized(values)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "values, hex_bytes",
+        [
+            ([5e-324], "000000000000f03f"),
+            ([5e-324, 1e-323], "555555555555d53f555555555555e53f"),
+            ([2.0, 6.0], "000000000000d03f000000000000e83f"),
+            ([0.0, 3.0, 0.0], "0000000000000000000000000000f03f0000000000000000"),
+            ([1e308, 7e307], "d3d2d2d2d2d2e23f5b5a5a5a5a5ada3f"),
+        ],
+    )
+    def test_normalized_bytes(self, values, hex_bytes):
+        source = np.array(values)
+        p = Pmf.normalized(source)
+        assert p.probs.tobytes().hex() == hex_bytes
+        assert not p.probs.flags.writeable
+        assert source.flags.writeable and not np.shares_memory(p.probs, source)
+
     def test_immutable(self):
         p = Pmf(np.array([0.5, 0.5]))
         with pytest.raises(ValueError):

@@ -476,6 +476,69 @@ def _channels(draw):
     return DmcSpec(np.array(cols).T)
 
 
+@st.composite
+def _wide_channels(draw):
+    """8 to 64 inputs and outputs, where gemv, the row sums and the dot
+    products block their work differently than on a handful of entries.
+    Columns are Dirichlet draws; some have a share of entries set to 0 and
+    some an output row that no input reaches."""
+    n = draw(st.integers(8, 64))
+    m = draw(st.integers(8, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    h = rng.dirichlet(np.full(n, draw(st.sampled_from([0.3, 1.0, 5.0]))), size=m).T
+    h[rng.random(h.shape) < draw(st.sampled_from([0.0, 0.0, 0.2, 0.7]))] = 0.0
+    unreached = draw(st.one_of(st.none(), st.integers(0, n - 1)))
+    if unreached is not None:
+        h[unreached] = 0.0
+    # a column left without mass sends it all to the row after the unreached one
+    h[(0 if unreached is None else unreached + 1) % n, h.sum(axis=0) == 0.0] = 1.0
+    return DmcSpec(h / h.sum(axis=0))
+
+
+def _named_wide(name):
+    rng = np.random.default_rng(31)
+    if name == "8x8 without a zero":
+        return rng.dirichlet(np.ones(8), size=8).T
+    if name == "64x64 banded, with zeros":
+        h = np.zeros((64, 64))
+        for i in range(64):
+            h[[(i - 1) % 64, i, (i + 1) % 64], i] = (0.1, 0.8, 0.1)
+        return h
+    if name == "16x24 with an output row no input reaches":
+        h = rng.dirichlet(np.ones(15), size=24).T
+        return np.insert(h, 7, 0.0, axis=0)
+    if name == "64x8":
+        return rng.dirichlet(np.full(64, 0.3), size=8).T
+    if name == "8x64":
+        return rng.dirichlet(np.full(8, 0.3), size=64).T
+    raise KeyError(name)
+
+
+_WIDE = [
+    "8x8 without a zero",
+    "64x64 banded, with zeros",
+    "16x24 with an output row no input reaches",
+    "64x8",
+    "8x64",
+]
+# channels whose iterate reaches an exact 0 mid-run at tol 1e-300, after
+# which the solver runs on the inputs still live.  Three noiseless inputs
+# and one that spreads evenly over their outputs: the gap stays at 2**-52
+# and the spread input's mass is 0 from iteration 679 on.  63 noiseless
+# inputs and an even spread, where the dot product over the live inputs
+# differs from one over all of them.  20 slightly noisy inputs and two
+# Dirichlet(1) ones, which both reach 0.
+def _reaching_zero(name):
+    if name == "3x4":
+        return np.column_stack([np.eye(3), np.full(3, 1.0 / 3.0)])
+    if name == "63x64":
+        return np.column_stack([np.eye(63), np.full(63, 1.0 / 63.0)])
+    if name == "20x22":
+        rng = np.random.default_rng(3)
+        return np.column_stack([np.eye(20) * 0.95 + 0.05 / 20, rng.dirichlet(np.ones(20), size=2).T])
+    raise KeyError(name)
+
+
 def _capacity_outcome(solve, dmc, tol, max_iter):
     try:
         res = solve(dmc, tol=tol, max_iter=max_iter)
@@ -483,15 +546,61 @@ def _capacity_outcome(solve, dmc, tol, max_iter):
     except ConvergenceError as exc:
         res = exc.best
         tag, msg = "ConvergenceError", str(exc)
-    return tag, msg, res.C, res.p_star.probs.tobytes(), res.achieved_tol
+    return tag, msg, res.C.hex(), res.p_star.probs.tobytes(), res.achieved_tol.hex()
+
+
+def _normalized_outcome(normalize, values):
+    try:
+        with np.errstate(over="ignore"):
+            return "ok", normalize(values).probs.tobytes()
+    except ValueError as exc:
+        return "ValueError", str(exc)
+
+
+# zeros, subnormals, entries near the largest float (whose sum overflows to
+# inf) and ordinary weights; negative, nan and inf entries are rejected
+_normalizable = st.lists(
+    st.one_of(
+        st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 1.0, 1e308, 1.7976931348623157e308]),
+        st.floats(min_value=0.0, max_value=1e300),
+        st.floats(allow_nan=True, allow_infinity=True),
+    ),
+    max_size=40,
+)
+
+
+class TestNormalizedMatchesReference:
+    """``Pmf.normalized`` checks its input once and hands its quotients
+    over unchecked; the reference then checks them through the
+    constructor: the same bytes, or the same rejection and message."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_normalizable)
+    def test_same_bytes_or_message(self, values):
+        got = _normalized_outcome(Pmf.normalized, values)
+        assert got == _normalized_outcome(reference.normalized_pmf, values)
+
+    @pytest.mark.parametrize("size", [1, 7, 8, 9, 129, 4097, 1 << 17])
+    @pytest.mark.parametrize("scale", [5e-324, 1e-300, 1.0, 1e300])
+    def test_long_vectors(self, size, scale):
+        rng = np.random.default_rng(size)
+        values = rng.dirichlet(np.full(size, 0.5)) * scale
+        got = _normalized_outcome(Pmf.normalized, values)
+        assert got == _normalized_outcome(reference.normalized_pmf, values)
 
 
 class TestCapacityMatchesReference:
+    """The solver's loop against the loop that validated every iterate:
+    the same C, gap and p_star bits, and the same error and best iterate.
+    Channels with and without a zero entry take the two ways of taking
+    the logs, and an iterate with a zero entry the masked update."""
+
     _NAMED = [
         np.array([[1.0, 0.5], [0.0, 0.5]]),
         np.array([[1.0, 1.0, 1.0]]),
         np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
         np.array([[0.9, 0.9, 0.0, 0.2], [0.1, 0.1, 0.5, 0.0], [0.0, 0.0, 0.5, 0.8]]),
+        np.array([[0.7, 0.2, 0.1], [0.0, 0.0, 0.0], [0.3, 0.8, 0.9]]),
     ]
 
     @settings(max_examples=100, deadline=None)
@@ -500,8 +609,15 @@ class TestCapacityMatchesReference:
         got = _capacity_outcome(blahut_arimoto, dmc, tol, 5000)
         assert got == _capacity_outcome(reference.blahut_arimoto, dmc, tol, 5000)
 
-    @settings(max_examples=100, deadline=None)
-    @given(_channels(), st.integers(1, 6))
+    # a lower iteration cap than on the small channels keeps the run short
+    @settings(max_examples=25, deadline=None)
+    @given(_wide_channels(), st.sampled_from([1e-4, 1e-9]))
+    def test_wide_channels(self, dmc, tol):
+        got = _capacity_outcome(blahut_arimoto, dmc, tol, 2000)
+        assert got == _capacity_outcome(reference.blahut_arimoto, dmc, tol, 2000)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(_channels(), _wide_channels()), st.integers(1, 6))
     def test_same_error_and_best_at_iteration_cap(self, dmc, max_iter):
         got = _capacity_outcome(blahut_arimoto, dmc, 1e-15, max_iter)
         assert got == _capacity_outcome(reference.blahut_arimoto, dmc, 1e-15, max_iter)
@@ -512,6 +628,25 @@ class TestCapacityMatchesReference:
         dmc = DmcSpec(self._NAMED[index])
         got = _capacity_outcome(blahut_arimoto, dmc, tol, max_iter)
         assert got == _capacity_outcome(reference.blahut_arimoto, dmc, tol, max_iter)
+
+    @pytest.mark.parametrize("name", _WIDE)
+    @pytest.mark.parametrize("tol, max_iter", [(1e-4, 5000), (1e-9, 5000), (1e-12, 1), (1e-12, 4)])
+    def test_named_wide_channels(self, name, tol, max_iter):
+        dmc = DmcSpec(_named_wide(name))
+        got = _capacity_outcome(blahut_arimoto, dmc, tol, max_iter)
+        assert got == _capacity_outcome(reference.blahut_arimoto, dmc, tol, max_iter)
+
+    @pytest.mark.parametrize(
+        "name, max_iter, zeros",
+        [("3x4", 678, 0), ("3x4", 679, 1), ("3x4", 680, 1), ("3x4", 1500, 1),
+         ("63x64", 3000, 1), ("20x22", 3000, 2)],
+    )
+    def test_iterate_reaching_zero(self, name, max_iter, zeros):
+        dmc = DmcSpec(_reaching_zero(name))
+        got = _capacity_outcome(blahut_arimoto, dmc, 1e-300, max_iter)
+        assert got == _capacity_outcome(reference.blahut_arimoto, dmc, 1e-300, max_iter)
+        # p_star is the iterate whose gap was taken last
+        assert np.count_nonzero(np.frombuffer(got[3]) == 0.0) == zeros
 
 
 # exact ties, zeros, negative weights, and weights a few ulps or up to
