@@ -324,7 +324,16 @@ def _cmd_match(args):
     return report, summary
 
 
-def _parse_symbol_list(args) -> list:
+def _parse_symbol_list(args):
+    """The symbol indices that --symbols or --symbols-file gives.
+
+    Indices are ASCII decimal digits, separated by commas and whitespace.
+    A text of ASCII digits, commas and ASCII whitespace with no index
+    longer than 18 digits is read into one int64 array.  Any other text is
+    split into tokens and read into a list of Python ints, of any size;
+    the first token that is not a decimal index, or else the longest if
+    one has more digits than int() reads, names the error.
+    """
     if args.symbols is not None and args.symbols_file is not None:
         raise _UsageError("give either --symbols or --symbols-file, not both")
     if args.symbols is not None:
@@ -337,6 +346,9 @@ def _parse_symbol_list(args) -> list:
             raise SpecFileError(f"{source}: {exc}") from None
     else:
         raise _UsageError("dematch needs --symbols or --symbols-file")
+    symbols = _symbol_array(text)
+    if symbols is not None:
+        return symbols
     tokens = text.replace(",", " ").split()
     # indices are ASCII decimal digits only: int() would also take signs,
     # underscores and other scripts' digits
@@ -352,6 +364,31 @@ def _parse_symbol_list(args) -> list:
         raise SpecFileError(
             f"{source}: symbol '{bad[:20]}...' of {len(bad)} digits is out of range"
         ) from None
+
+
+def _symbol_array(text: str):
+    """The indices of a text of ASCII digits, commas and the ASCII
+    whitespace that str.split and numpy's text parse share (space, tab,
+    newline, carriage return, vertical tab, form feed), none of them longer
+    than 18 digits, as one int64 array; None for any other text."""
+    if not text.isascii():
+        return None
+    text = text.replace(",", " ")
+    raw = np.frombuffer(text.encode("ascii"), np.uint8)
+    digit = raw - 48 < 10  # uint8 wraps the characters below "0" past 10
+    n_digits = np.count_nonzero(digit)
+    if n_digits + np.count_nonzero(raw == 32) + np.count_nonzero(raw - 9 < 5) < raw.size:
+        return None
+    if not n_digits:
+        return np.zeros(0, np.int64)  # numpy reads a blank text as [0]
+    # 19 digits in a row: the digit mask ANDed with itself shifted by 1, 2,
+    # 4, 8 and 3 places.  Shorter indices fit int64 and int() reads them
+    run = digit
+    for shift in (1, 2, 4, 8, 3):
+        run = run[shift:] & run[:-shift]
+    if run.any():
+        return None
+    return np.fromstring(text, np.int64, sep=" ")
 
 
 def _cmd_dematch(args):

@@ -151,7 +151,10 @@ def blahut_arimoto(dmc: DmcSpec, tol: float = 1e-9, max_iter: int = 100_000) -> 
     those of the plain loop kept in ``tests/reference.py``.  The validated
     result is built once, from the iterate whose gap it reports.  Raises
     ConvergenceError (carrying that result as the best iterate) if
-    max_iter is hit first or the update underflows.
+    max_iter is hit first or the divergences stop being finite, which
+    happens when h / r overflows or h p underflows to 0; where that leaves
+    the gap itself not finite, the error carries the iterate before.
+    The loop's overflows and underflows print no numpy warning.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError("tol must be finite and positive")
@@ -163,7 +166,8 @@ def blahut_arimoto(dmc: DmcSpec, tol: float = 1e-9, max_iter: int = 100_000) -> 
     r, div, scaled = np.empty(n), np.empty(m), np.empty(m)
     r_col = r[:, None]
     p, last = np.full(m, 1.0 / m), np.empty(m)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    before = None  # C and gap of the iterate in `last`
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for _ in range(max_iter):
             np.dot(h, p, out=r)
             _per_input_divergence(h, r_col, where, lg, work, out=div)
@@ -180,10 +184,15 @@ def blahut_arimoto(dmc: DmcSpec, tol: float = 1e-9, max_iter: int = 100_000) -> 
             if gap <= tol:
                 return CapacityResult(C=lower, p_star=Pmf.normalized(p), achieved_tol=gap)
             if not math.isfinite(top):
+                if before is not None and not math.isfinite(gap):
+                    # h / r overflowed, or h p underflowed to 0: report
+                    # the iterate before this one
+                    p, (lower, gap) = last, before
                 raise ConvergenceError(
                     "capacity solver hit numerical underflow",
                     best=CapacityResult(C=lower, p_star=Pmf.normalized(p), achieved_tol=gap),
                 )
+            before = lower, gap
             np.subtract(div, top, out=scaled)
             np.exp2(scaled, out=scaled)
             np.multiply(p, scaled, out=scaled)

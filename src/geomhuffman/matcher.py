@@ -12,6 +12,7 @@ platform, so match reports are comparable across machines.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -263,13 +264,56 @@ def modulate(tree: CodeTree, bits) -> tuple:
 def demodulate(tree: CodeTree, symbols) -> str:
     """Concatenated codewords of a symbol sequence, as a '0'/'1' string.
 
-    Symbols are Python or numpy integers; anything else, bools included,
-    raises ValueError rather than being rounded or parsed.  The first bad
-    symbol in the sequence names the error.
+    A 1-d numpy integer array is taken as it is; a list, tuple, iterator or
+    other array is converted once to an int64 array, which takes Python and
+    numpy integers and refuses anything else, bools included, rather than
+    round or parse it.  The array is checked with array operations, for
+    indices out of range and symbols dropped from the tree, and its
+    codewords are gathered and joined once.  The first bad symbol in the
+    sequence names the error, a ValueError.
     """
     words = tree.codewords
-    out = []
-    for s in symbols:
+    if not (isinstance(symbols, np.ndarray) and symbols.ndim == 1 and symbols.dtype.kind in "iu"):
+        symbols = _index_array(words, symbols)
+    # uint64 entries past int64 wrap to negative indices, out of range too
+    index = symbols.astype(np.int64, copy=False)
+    table = np.array(words, dtype=object)
+    kept = np.not_equal(table, None)
+    m = len(words)
+    if index.size and (index.min() < 0 or index.max() >= m or not kept[index].all()):
+        inside = (index >= 0) & (index < m)
+        bad = ~inside
+        bad[inside] = ~kept[index[inside]]
+        first = int(np.argmax(bad))
+        s = int(symbols[first])
+        if inside[first]:
+            raise ValueError(f"symbol {s} was dropped from the code tree")
+        raise ValueError(f"symbol index {s} out of range")
+    return "".join(table[index].tolist())
+
+
+def _index_array(words: tuple, symbols) -> np.ndarray:
+    """symbols, not a 1-d integer array, as one int64 array.
+
+    Where an entry is not an integer or lies beyond int64, the symbols are
+    walked one by one to name the first bad one.
+    """
+    seq = symbols if isinstance(symbols, (list, tuple)) else list(symbols)
+    if operator.countOf(map(type, seq), int) < len(seq):
+        kinds = set(map(type, seq))
+        if not all(issubclass(k, (int, np.integer)) and not issubclass(k, bool) for k in kinds):
+            _raise_first_fault(words, seq)
+        seq = list(map(int, seq))
+    try:
+        return np.fromiter(seq, np.int64, len(seq))
+    except OverflowError:
+        _raise_first_fault(words, seq)
+
+
+def _raise_first_fault(words: tuple, seq):
+    """Raise ValueError for the first entry of seq that is not an integer,
+    is out of range or was dropped from the code tree."""
+    for s in seq:
         if type(s) is not int:
             if isinstance(s, bool) or not isinstance(s, (int, np.integer)):
                 raise ValueError(f"symbol {s!r} is not an integer")
@@ -278,8 +322,6 @@ def demodulate(tree: CodeTree, symbols) -> str:
             raise ValueError(f"symbol index {s} out of range")
         if words[s] is None:
             raise ValueError(f"symbol {s} was dropped from the code tree")
-        out.append(words[s])
-    return "".join(out)
 
 
 def simulate(tree: CodeTree, n_symbols: int, seed: int) -> MatchReport:

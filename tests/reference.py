@@ -13,12 +13,16 @@ counted symbols, and the symbol list the CLI recovered by regenerating the
 bits and parsing them again with ``modulate``, and the CLI's report
 serializer as it was before lists of exact ints went through one C-level
 call, and the code tree builder that grew a node table one codeword bit at
-a time, whose table the reference matcher walks.  The property tests
+a time, whose table the reference matcher walks; and ``dematch`` as it was
+before it read its symbol text into one int64 array and checked and
+gathered codewords with array operations: one ``int()`` per token and one
+Python step per symbol.  The property tests
 compare the package against them: same lengths (tie-breaks included), same
 divergences, same reduced Kraft sums or errors, bit-identical DMC
 capacities, capacity-achieving PMFs and LEC fixed points, the same bits,
-symbols and counts, the same report bytes, and the same accepted trees and
-error types for codeword lists.
+symbols and counts, the same report bytes, the same accepted trees and
+error types for codeword lists, and the same ``dematch`` exit codes,
+stdout and stderr.
 """
 
 from __future__ import annotations
@@ -45,7 +49,8 @@ from geomhuffman import (
     ghc,
     kl_divergence,
 )
-from geomhuffman.errors import ConvergenceError, GuardExceededError
+from geomhuffman.cli import _read_file, _UsageError
+from geomhuffman.errors import ConvergenceError, GuardExceededError, SpecFileError
 from geomhuffman.pmf import as_weights
 
 MAX_CODEWORD_LEN = 64
@@ -326,7 +331,7 @@ def normalized_pmf(values) -> Pmf:
 def _per_input_divergence(h: np.ndarray, r: np.ndarray) -> np.ndarray:
     mask = h > 0.0
     lg = np.zeros_like(h)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         ratio = h / r[:, None]
         np.log2(ratio, out=lg, where=mask)
     terms = np.where(mask, h * lg, 0.0)
@@ -334,7 +339,11 @@ def _per_input_divergence(h: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 
 def blahut_arimoto(dmc, tol: float = 1e-9, max_iter: int = 100_000) -> CapacityResult:
-    """Blahut-Arimoto with a validated result built on every iteration."""
+    """Blahut-Arimoto with a validated result built on every iteration.
+
+    Where the iterate's divergences are not finite, the underflow error
+    carries that iterate if its gap is finite and the one before it if not.
+    """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError("tol must be finite and positive")
     h = dmc.h
@@ -345,14 +354,16 @@ def blahut_arimoto(dmc, tol: float = 1e-9, max_iter: int = 100_000) -> CapacityR
         div = _per_input_divergence(h, r)
         live = p > 0.0
         lower = float(p[live] @ div[live])
-        gap = float(div.max() - lower)
-        result = CapacityResult(C=lower, p_star=normalized_pmf(p), achieved_tol=gap)
+        gap = float(div.max()) - lower
+        previous, result = result, CapacityResult(C=lower, p_star=normalized_pmf(p), achieved_tol=gap)
         if gap <= tol:
             return result
         top = float(div[live].max())
         if not np.isfinite(top):
+            # an iterate whose gap is not finite reports the one before it
             raise ConvergenceError(
-                "capacity solver hit numerical underflow", best=result
+                "capacity solver hit numerical underflow",
+                best=result if previous is None or np.isfinite(gap) else previous,
             )
         scaled = np.where(live, p * np.exp2(div - top), 0.0)
         p = scaled / scaled.sum()
@@ -605,3 +616,50 @@ def emit_report(report: dict, fmt: str) -> str:
     if fmt == "json":
         return _json_value(report)
     return "\n".join(f"{key},{_flat_value(value)}" for key, value in report.items())
+
+
+def parse_symbol_list(args) -> list:
+    """``cli._parse_symbol_list`` with every text split into tokens, each
+    checked for ASCII decimal digits and read by ``int()``."""
+    if args.symbols is not None and args.symbols_file is not None:
+        raise _UsageError("give either --symbols or --symbols-file, not both")
+    if args.symbols is not None:
+        source, text = "--symbols", args.symbols
+    elif args.symbols_file is not None:
+        source = args.symbols_file
+        try:
+            text = _read_file(source).decode("ascii")
+        except UnicodeDecodeError as exc:
+            raise SpecFileError(f"{source}: {exc}") from None
+    else:
+        raise _UsageError("dematch needs --symbols or --symbols-file")
+    tokens = text.replace(",", " ").split()
+    digits = "".join(tokens)
+    if tokens and not (digits.isascii() and digits.isdigit()):
+        bad = next(tok for tok in tokens if not (tok.isascii() and tok.isdigit()))
+        raise SpecFileError(f"{source}: symbol {bad!r} is not a decimal index")
+    try:
+        return list(map(int, tokens))
+    except ValueError:
+        bad = max(tokens, key=len)
+        raise SpecFileError(
+            f"{source}: symbol '{bad[:20]}...' of {len(bad)} digits is out of range"
+        ) from None
+
+
+def demodulate(tree, symbols) -> str:
+    """``demodulate`` with a type, range and dropped-symbol check and one
+    codeword appended per symbol."""
+    words = tree.codewords
+    out = []
+    for s in symbols:
+        if type(s) is not int:
+            if isinstance(s, bool) or not isinstance(s, (int, np.integer)):
+                raise ValueError(f"symbol {s!r} is not an integer")
+            s = int(s)
+        if s < 0 or s >= len(words):
+            raise ValueError(f"symbol index {s} out of range")
+        if words[s] is None:
+            raise ValueError(f"symbol {s} was dropped from the code tree")
+        out.append(words[s])
+    return "".join(out)

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
+from test_dmc import overflowing_channel
 
+import geomhuffman
 from geomhuffman import dnc as dnc_mod
 from geomhuffman.cli import emit_report, load_spec, main
 from geomhuffman.errors import SpecFileError
@@ -192,6 +197,18 @@ class TestSubcommands:
         code, out, _ = run(capsys, "dmc", str(path), *case["flags"])
         assert code == 0
         assert out == case["stdout"]
+
+    def test_dmc_overflow_prints_one_error_line(self, tmp_path):
+        # a subprocess, so that a numpy warning would reach its stderr
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps({"type": "dmc", "transition": overflowing_channel(1e-3).h.tolist()}))
+        env = {**os.environ, "PYTHONPATH": str(Path(geomhuffman.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "geomhuffman.cli", "dmc", str(path), "--tol", "1e-17"],
+            capture_output=True, text=True, env=env, timeout=120, check=False,
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == "error: capacity solver hit numerical underflow\n"
 
     def test_dnc_lec(self, capsys, specs):
         code, out, _ = run(capsys, "dnc", specs["dnc"], "--lec")

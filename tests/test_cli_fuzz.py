@@ -5,7 +5,9 @@ Infinity tokens and numbers beyond the float range, and DNC specs take
 weights at the ends of the float range and bases up to 1e300; codebooks
 mix valid canonical codes with duplicate symbols, gaps, prefix clashes,
 random bit strings and indices that ``int()`` reads but a codebook
-refuses; flags take valid and invalid values.  Every run
+refuses; ``dematch`` symbol texts mix commas, ASCII whitespace and
+U+3000 with indices of up to 4301 digits and tokens that are not decimal
+indices; flags take valid and invalid values.  Every run
 must end in exit 0, 1 or 2 without an exception escaping ``main``: exit
 0 with parseable stdout, exit 1 or 2 with empty stdout and exactly one
 ``error:`` line on stderr.  ``match`` on the codebooks of random full
@@ -194,18 +196,51 @@ def test_spec_commands_exit_cleanly(workdir, run):
         assert code != 0, (text, flags, out)
 
 
+# separators that str.split takes: commas and the ASCII whitespace that
+# numpy's text parse takes too, then \x1c-\x1f and U+3000, which it does not
+ARRAY_SEPARATORS = [",", " ", "\t", "\n", "\r", "\x0b", "\x0c"]
+SPLIT_SEPARATORS = ["\x1c", "\x1d", "\x1e", "\x1f", "\u3000"]
+# decimal indices with leading zeros and of 18 digits; then indices of 19
+# and 25 digits (2^63 - 1 and 2^63 among them) and of more digits than
+# int() reads, and tokens that are not decimal indices: signs, underscores,
+# fullwidth digits
+ARRAY_TOKENS = ["0", "1", "2", "3", "4", "5", "6", "00", "007", "1" * 18, "9" * 18]
+SPLIT_TOKENS = [
+    "1" * 19, str(2**63 - 1), str(2**63), "1" * 25, "0" * 24 + "1", "1" * 4301, "0" * 4300 + "1",
+    "+1", "-1", "-0", "1_0", "\uff11", "\uff10",
+]
+
+
+@st.composite
+def symbol_texts(draw):
+    """Texts of dematch symbols: tokens between runs of separators, a
+    quarter of them of the forms that dematch reads into one int64 array;
+    or a text with no token (empty, whitespace only, commas only)."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.sampled_from(["", " ", ",", ",,", " , ", "\t\n", "\x1c", "\u3000"]))
+    separator = st.sampled_from(ARRAY_SEPARATORS + SPLIT_SEPARATORS * draw(st.booleans()))
+    separators = st.lists(separator, min_size=1, max_size=3).map("".join)
+    token = st.sampled_from(ARRAY_TOKENS + SPLIT_TOKENS * draw(st.booleans()))
+    parts = draw(st.lists(st.tuples(separators, token), max_size=8))
+    text = "".join(sep + tok for sep, tok in parts) + draw(separators)
+    # drop the leading and trailing separators some of the time
+    return text[draw(st.integers(0, 1)):len(text) - draw(st.integers(0, 1))]
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     text=codebook_texts(),
     symbols=st.sampled_from(["0", "1", "7", "50", "-1", "x"]),
     seed=st.sampled_from(["0", "7", "-3", str(2**70), "y"]),
-    dematch=st.lists(st.integers(-1, 8), max_size=6),
+    dematch=symbol_texts(),
     fmt=st.sampled_from(["json", "csv", "yaml"]),
 )
-@example(text="+0\t0\n1\t1\n", symbols="7", seed="0", dematch=[0, 1], fmt="json")
-@example(text="0\t0\n1_0\t1\n", symbols="7", seed="0", dematch=[0], fmt="csv")
-@example(text="0\t1\n 0\t0\n", symbols="1", seed="7", dematch=[], fmt="json")
-@example(text="0\t0\n999999999999\t1\n", symbols="1", seed="0", dematch=[0], fmt="json")
+@example(text="+0\t0\n1\t1\n", symbols="7", seed="0", dematch="0,1", fmt="json")
+@example(text="0\t0\n1_0\t1\n", symbols="7", seed="0", dematch="0", fmt="csv")
+@example(text="0\t1\n 0\t0\n", symbols="1", seed="7", dematch="", fmt="json")
+@example(text="0\t0\n999999999999\t1\n", symbols="1", seed="0", dematch="0", fmt="json")
+@example(text="0\t0\n1\t1\n", symbols="1", seed="0", dematch=" ", fmt="json")
+@example(text="0\t0\n1\t1\n", symbols="1", seed="0", dematch=",", fmt="json")
 def test_codebook_commands_exit_cleanly(workdir, text, symbols, seed, dematch, fmt):
     path = workdir / "cb.tsv"
     path.write_text(text)
@@ -214,10 +249,13 @@ def test_codebook_commands_exit_cleanly(workdir, text, symbols, seed, dematch, f
     outcome = run_main(argv)
     check_outcome(*outcome, fmt)
     assert not (strict and outcome[0] == 0), outcome
-    argv = ["dematch", str(path), "--symbols", ",".join(map(str, dematch)), "--format", fmt]
+    argv = ["dematch", str(path), f"--symbols={dematch}", "--format", fmt]
     outcome = run_main(argv)
     check_outcome(*outcome, fmt)
     assert not (strict and outcome[0] == 0), outcome
+    # a text without a token is zero symbols
+    if outcome[0] == 0 and not dematch.replace(",", " ").split() and fmt == "json":
+        assert json.loads(outcome[1])["n_symbols"] == 0
 
 
 @settings(max_examples=200, deadline=None)

@@ -36,6 +36,15 @@ Z_D_UNIFORM = 0.029446844526784        # D((.5,.5) || (.6,.4))
 Z_BOUND = 0.292481250360578
 
 
+def overflowing_channel(eps: float) -> DmcSpec:
+    """Three noiseless inputs and a fourth that spreads 1 - eps evenly over
+    their outputs and reaches a fourth output with probability eps."""
+    spread = (1.0 - eps) / 3
+    return DmcSpec(np.array(
+        [[1.0, 0.0, 0.0, spread], [0.0, 1.0, 0.0, spread], [0.0, 0.0, 1.0, spread], [0.0, 0.0, 0.0, eps]]
+    ))
+
+
 def _random_channel(rng, m=None, n=None):
     m = m or int(rng.integers(2, 6))
     n = n or int(rng.integers(2, 6))
@@ -109,6 +118,19 @@ class TestBlahutArimoto:
             blahut_arimoto(Z_CHANNEL, tol=1e-12, max_iter=3)
         best = exc_info.value.best
         assert best is not None and 0.25 < best.C < 0.33
+
+    # the fourth input alone reaches the last output, with probability
+    # eps; its mass decays until h / r overflows, before the gap reaches
+    # 1e-17, and the error reports the iterate before the overflow
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("eps", [1e-3, 1e-6, 1e-12])
+    def test_overflow_error_carries_a_finite_iterate(self, eps):
+        with pytest.raises(ConvergenceError, match="^capacity solver hit numerical underflow$") as exc_info:
+            blahut_arimoto(overflowing_channel(eps), tol=1e-17)
+        best = exc_info.value.best
+        assert math.isfinite(best.C) and math.isfinite(best.achieved_tol)
+        assert best.C == pytest.approx(math.log2(3), rel=1e-12)
+        assert 0.0 < best.p_star.probs[3] < 1e-300
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1e-9])
     def test_rejects_tolerance_not_finite_and_positive(self, tol):

@@ -2,8 +2,10 @@
 loop, the shared oracle scan, the table-driven matcher and the lean LEC
 step against the heap builders, per-element fold, per-iteration validating
 loop, separate oracle, per-bit matcher walks and LEC they replaced, the
-report serializer against the element-by-element one and the codeword
-checks of ``CodeTree`` against the per-bit tree builder (``reference.py``);
+report serializer against the element-by-element one, the codeword
+checks of ``CodeTree`` against the per-bit tree builder, and ``dematch``'s
+array parse and ``demodulate`` against the token parse and per-symbol loop
+(``reference.py``);
 the batched rounds of the two-queue builder against its scalar loop; and
 the log-space DNC capacity solve against its root bracketed in mpmath."""
 
@@ -18,6 +20,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference
+from test_cli_fuzz import run_main, symbol_texts
+from test_dmc import overflowing_channel
 from geomhuffman import (
     INF,
     BitSource,
@@ -40,7 +44,7 @@ from geomhuffman import (
     product_pmf,
     simulate,
 )
-from geomhuffman import approximators, dyadic
+from geomhuffman import approximators, cli, dyadic, matcher
 from geomhuffman.cli import emit_report
 from geomhuffman.dnc import ROOT_RESIDUAL_TOL
 from geomhuffman.errors import ConvergenceError, GuardExceededError
@@ -636,6 +640,16 @@ class TestCapacityMatchesReference:
         got = _capacity_outcome(blahut_arimoto, dmc, tol, max_iter)
         assert got == _capacity_outcome(reference.blahut_arimoto, dmc, tol, max_iter)
 
+    # h / r overflows before the gap reaches 1e-17; the error reports the
+    # iterate before, in both loops, and no numpy warning is printed
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("eps", [1e-3, 1e-6, 1e-12])
+    def test_overflow_reports_the_iterate_before(self, eps):
+        dmc = overflowing_channel(eps)
+        got = _capacity_outcome(blahut_arimoto, dmc, 1e-17, 100_000)
+        assert got == _capacity_outcome(reference.blahut_arimoto, dmc, 1e-17, 100_000)
+        assert got[1] == "capacity solver hit numerical underflow"
+
     @pytest.mark.parametrize(
         "name, max_iter, zeros",
         [("3x4", 678, 0), ("3x4", 679, 1), ("3x4", 680, 1), ("3x4", 1500, 1),
@@ -1063,3 +1077,88 @@ class TestEmitReportMatchesReference:
     def test_same_bytes(self, report):
         for fmt in ("json", "csv"):
             assert emit_report(report, fmt) == reference.emit_report(report, fmt)
+
+
+# symbols 2 and 4 are dropped, and 6 and up are out of range
+_DEMATCH_CODEBOOK = "0\t0\n1\t10\n3\t110\n5\t111\n"
+_DEMATCH_TREE = dyadic.parse_codebook(_DEMATCH_CODEBOOK)
+
+
+@pytest.fixture(scope="module")
+def dematch_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("dematch")
+    (path / "cb.tsv").write_text(_DEMATCH_CODEBOOK)
+    return path
+
+
+def _demodulate_outcome(demodulate_fn, make_symbols):
+    try:
+        return "ok", demodulate_fn(_DEMATCH_TREE, make_symbols())
+    except ValueError as exc:
+        return "ValueError", str(exc)
+
+
+# integers in and out of range and beyond int64, and entries that are not
+# integers; np.int8 and np.uint64 scalars are integers
+_symbol_entries = st.one_of(
+    st.integers(-2, 7),
+    st.sampled_from([2**63 - 1, 2**63, 2**64, -(2**63), -(2**63) - 1, 2**70]),
+    st.sampled_from([True, False, 1.0, 2.5, "1", None, np.int8(3), np.uint64(2**64 - 1), np.True_, np.float64(0.0)]),
+)
+_symbol_arrays = st.one_of(
+    st.lists(st.integers(-128, 127).filter(lambda v: v < 8 or v > 100)).map(lambda v: np.array(v, np.int8)),
+    st.lists(st.one_of(st.integers(0, 7), st.integers(2**63 - 2, 2**64 - 1))).map(lambda v: np.array(v, np.uint64)),
+    st.lists(st.one_of(st.integers(-2, 7), st.integers(-(2**63), 2**63 - 1))).map(lambda v: np.array(v, np.int64)),
+    st.lists(st.booleans()).map(lambda v: np.array(v, bool)),
+)
+
+
+class TestDematchMatchesReference:
+    """``cli dematch`` against itself with the token parse and per-symbol
+    loop of ``reference.py`` patched in: the same exit code, stdout and
+    stderr; and ``demodulate`` against the per-symbol loop on lists, tuples,
+    iterators and numpy arrays: the same bits or the same first fault."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        text=symbol_texts(),
+        source=st.sampled_from(["--symbols", "--symbols-file"]),
+        fmt=st.sampled_from(["json", "csv"]),
+    )
+    @example(text=" ", source="--symbols", fmt="json")
+    @example(text=",", source="--symbols-file", fmt="json")
+    @example(text="0 " + str(2**70) + " 2", source="--symbols", fmt="json")
+    @example(text="0 2 " + "1" * 4301, source="--symbols-file", fmt="json")
+    @example(text="0\x1c1\u30003", source="--symbols", fmt="csv")
+    @example(text="0\x1c1", source="--symbols-file", fmt="json")
+    @example(text="3, " + str(2**63), source="--symbols", fmt="json")
+    @example(text="1 " + "0" * 4300 + "1", source="--symbols", fmt="json")
+    def test_same_exit_code_stdout_and_stderr(self, dematch_dir, text, source, fmt):
+        value = text
+        if source == "--symbols-file":
+            value = str(dematch_dir / "symbols.txt")
+            (dematch_dir / "symbols.txt").write_bytes(text.encode("utf-8"))
+        argv = ["dematch", str(dematch_dir / "cb.tsv"), f"{source}={value}", "--format", fmt]
+        got = run_main(argv)
+        with mock.patch.object(cli, "_parse_symbol_list", reference.parse_symbol_list), \
+                mock.patch.object(matcher, "demodulate", reference.demodulate):
+            assert got == run_main(argv)
+
+    @settings(max_examples=300, deadline=None)
+    @given(symbols=st.lists(_symbol_entries, max_size=8), form=st.sampled_from([list, tuple, iter]))
+    @example(symbols=[0, 2**70, 2], form=list)
+    @example(symbols=[0, 6, True], form=iter)
+    @example(symbols=[1, np.uint64(2**64 - 1)], form=tuple)
+    def test_demodulate_sequences(self, symbols, form):
+        got = _demodulate_outcome(demodulate, lambda: form(symbols))
+        assert got == _demodulate_outcome(reference.demodulate, lambda: form(symbols))
+
+    @settings(max_examples=300, deadline=None)
+    @given(symbols=_symbol_arrays)
+    @example(symbols=np.array([0, 2**64 - 1, 2], np.uint64))
+    @example(symbols=np.array([0, 5, 3, -1], np.int8))
+    @example(symbols=np.array([[0, 1], [3, 5]], np.int64))
+    @example(symbols=np.zeros((0, 2), np.int64))
+    def test_demodulate_arrays(self, symbols):
+        got = _demodulate_outcome(demodulate, lambda: symbols)
+        assert got == _demodulate_outcome(reference.demodulate, lambda: symbols)
