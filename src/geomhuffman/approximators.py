@@ -219,17 +219,15 @@ def _tree_depths(keys: np.ndarray, ties: np.ndarray, merge, drop) -> np.ndarray:
 
 def _code_and_divergence(order: np.ndarray, depths: np.ndarray, arr: np.ndarray) -> tuple:
     """CodeLengths in symbol order from the int64 depths of the symbols of
-    order, negative where dropped; D(p || arr); and p, the code's
-    probabilities 2**-l as a float64 array.
+    order, negative where dropped, and D(p || arr) for the code's
+    probabilities p = 2**-l.
 
     The depths are scattered into one symbol-order array, -1 where dropped,
-    which CodeLengths._from_depths checks and p is read from.
+    which CodeLengths._from_depths checks and p is gathered by.
     """
     d = np.full(arr.size, -1, np.int64)
     d[order] = np.maximum(depths, -1)
-    code = CodeLengths._from_depths(d)
-    p = _DEPTH_PROBS[d]
-    return code, kl_divergence(p, arr), p
+    return CodeLengths._from_depths(d), kl_divergence(_DEPTH_PROBS[d], arr)
 
 
 def _ghc_merge(va: float, vb: float) -> float:
@@ -269,21 +267,16 @@ def ghc(x) -> tuple:
     scalar loop; from there up it runs in batched rounds, each pairing in
     a few numpy steps every pending node that pops before the round's
     first parent could, with the same lengths.  Either way the depths are
-    one int64 array from the build to the result: the code's exact Kraft
-    check walks its histogram, and only the lengths tuple is built per
-    symbol.  Dropped nodes may be whole subtrees; every leaf beneath one
-    gets length inf.  Among equal v the lower original symbol index ends up
-    with the shorter (or equal) codeword, which keeps outputs deterministic.
+    one int64 array from the build to the code, whose exact Kraft check
+    walks their histogram and which keeps them; only the lengths tuple is
+    built per symbol.  Dropped nodes may be whole subtrees; every leaf
+    beneath one gets length inf.  Among equal v the lower original symbol
+    index ends up with the shorter (or equal) codeword, which keeps outputs
+    deterministic.
 
     Returns (CodeLengths in original symbol order, divergence in bits).
     Zero-weight symbols always get length inf.
     """
-    return _ghc_with_probs(x)[:2]
-
-
-def _ghc_with_probs(x) -> tuple:
-    """ghc's code and divergence, and the code's probabilities 2**-l as the
-    float64 array the build computed them in."""
     arr = _checked_weights(x)
     positive = arr > 0.0
     finite = np.count_nonzero(positive)
@@ -316,7 +309,7 @@ def huffman(x) -> tuple:
         raise ValueError("Huffman coding needs at least 2 positive weights")
     order = _pop_order(arr)
     depths = _tree_depths(arr[order], order, _huffman_merge, None)
-    return _code_and_divergence(order, depths, arr)[:2]
+    return _code_and_divergence(order, depths, arr)
 
 
 def _floor_neg_log2(q: np.ndarray) -> np.ndarray:
@@ -358,4 +351,4 @@ def gcc(q: Pmf) -> tuple:
     ends = np.flatnonzero(positive & (lengths == level))
     ends = ends[np.argsort(-arr[ends], kind="stable")[:need]]
     kept = np.concatenate((np.flatnonzero(positive & (lengths < level)), ends))
-    return _code_and_divergence(kept, lengths[kept], arr)[:2]
+    return _code_and_divergence(kept, lengths[kept], arr)

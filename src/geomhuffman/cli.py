@@ -101,7 +101,7 @@ def _code_entries(code: dyadic.CodeLengths, kl_bits: float) -> dict:
     """The report entries of a code: its lengths, its dyadic PMF and its
     divergence from the target it was built for."""
     return {
-        "lengths": [("inf" if e == dyadic.INF else int(e)) for e in code.lengths],
+        "lengths": list(code.lengths),
         "dyadic_pmf": _pmf_json(dyadic.DyadicPmf.from_code(code).probs),
         "kl_bits": kl_bits,
     }

@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .approximators import _ghc_with_probs
-from .dyadic import CodeLengths
+from .approximators import ghc
+from .dyadic import CodeLengths, DyadicPmf
 from .errors import ConvergenceError, DimensionMismatchError, SupportConditionError
 from .pmf import PRODUCT_CAP, Pmf, _check_block, _coordinate_sum, kl_divergence, product_pmf
 
@@ -287,15 +287,16 @@ def optimize_block_dmc(
 
     Solves for the capacity-achieving PMF, clamps near-zero entries, runs
     ghc on its k-fold product, and reports the exact per-use mutual
-    information of the resulting (generally non-product) dyadic PMF along
-    with the per-use penalty bound C - D/k.
+    information of the resulting (generally non-product) dyadic PMF, which
+    DyadicPmf.from_code gathers from the code's kept depths, along with
+    the per-use penalty bound C - D/k.
     """
     _check_block(max(dmc.m, dmc.n), k, PRODUCT_CAP, "block channel would need")
     res = blahut_arimoto(dmc, tol=tol, max_iter=max_iter)
     p_star = clamp_support(res.p_star)
     target = product_pmf(p_star, k)
-    code, d_total, probs = _ghc_with_probs(target.probs)
-    mi = _block_mutual_information(dmc.h, probs, k)
+    code, d_total = ghc(target.probs)
+    mi = _block_mutual_information(dmc.h, DyadicPmf.from_code(code).probs.probs, k)
     return BlockDmcReport(
         block=k,
         capacity=res.C,

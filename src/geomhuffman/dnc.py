@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .approximators import _ghc_with_probs
-from .dyadic import CodeLengths
+from .approximators import ghc
+from .dyadic import CodeLengths, DyadicPmf
 from .errors import ConvergenceError, DimensionMismatchError
 from .pmf import Pmf, _coordinate_sum, as_weights, entropy, product_pmf
 
@@ -221,11 +221,11 @@ def lec(spec: DncSpec, tol: float = 1e-12, max_iter: int = 1000) -> LecResult:
     """Fixed-point iteration for the dyadic PMF maximizing entropy per
     average weight.
 
-    Starting from R = 1, each pass builds p = ghc(p*^R) and updates
-    R = rate(p) / C.  The divergence D(p || p*^R), taken against the tilt
-    that built p, equals (R - R_new) * C * average_weight: it is negative
-    while the new code still raises the rate and vanishes exactly at the
-    fixed point.  Iteration stops when R stops moving (|dR| <= R_TOL,
+    Starting from R = 1, each pass builds the code of ghc(p*^R), takes its
+    dyadic PMF p from DyadicPmf.from_code and updates R = rate(p) / C.
+    The divergence D(p || p*^R), taken against the tilt that built p,
+    equals (R - R_new) * C * average_weight: it is negative while the new
+    code still raises the rate and vanishes exactly at the fixed point.  Iteration stops when R stops moving (|dR| <= R_TOL,
     which also covers exact ties between distinct optimal codes) or, from
     the second pass on, when |D| falls below tol.  The first pass starts
     from R = 1, which is no code's rate, so its D says nothing about the
@@ -246,8 +246,8 @@ def lec(spec: DncSpec, tol: float = 1e-12, max_iter: int = 1000) -> LecResult:
     R = 1.0
     last: "LecResult | None" = None
     for iteration in range(1, max_iter + 1):
-        code, div, probs = _ghc_with_probs(weighted_target(capacity.p_star, R))
-        rate = entropy_per_weight(probs, spec)
+        code, div = ghc(weighted_target(capacity.p_star, R))
+        rate = entropy_per_weight(DyadicPmf.from_code(code).probs, spec)
         r_new = rate / capacity.C
         result = LecResult(R=r_new, lengths=code, rate=rate, iterations=iteration, solved=capacity)
         if abs(r_new - R) <= R_TOL:
@@ -266,18 +266,20 @@ def lec(spec: DncSpec, tol: float = 1e-12, max_iter: int = 1000) -> LecResult:
 def optimize_block_dnc(spec: DncSpec, k: int) -> BlockDncReport:
     """Best dyadic PMF over blocks of k symbols.
 
-    Block weights are sums of the component weights in lexicographic tuple
-    order; they are never materialized, the average weight comes from the
-    per-coordinate marginals of the block PMF.  The reported lower bound is
-    C - D / (k * w_min).
+    The block PMF is the dyadic PMF of ghc's code on the k-fold product of
+    p*, from DyadicPmf.from_code.  Block weights are sums of the component
+    weights in lexicographic tuple order; they are never materialized, the
+    average weight comes from the per-coordinate marginals of the block
+    PMF.  The reported lower bound is C - D / (k * w_min).
     """
     capacity = dnc_capacity(spec)
     target = product_pmf(capacity.p_star, k)
-    code, d_total, probs = _ghc_with_probs(target.probs)
+    code, d_total = ghc(target.probs)
+    p = DyadicPmf.from_code(code).probs
 
-    avg_weight = _coordinate_sum(probs, spec.m, k, spec.w)
+    avg_weight = _coordinate_sum(p.probs, spec.m, k, spec.w)
     # + 0.0 turns the -0.0 entropy of a single-leaf code into 0.0
-    rate = entropy(Pmf._exact(probs)) / avg_weight + 0.0
+    rate = entropy(p) / avg_weight + 0.0
 
     w_min = float(spec.w.min())
     return BlockDncReport(

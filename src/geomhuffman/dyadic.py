@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import takewhile
+from itertools import repeat, takewhile
 from operator import itemgetter
 from typing import Iterator, Sequence
 
@@ -31,6 +31,8 @@ MAX_TREE_LEN = 1024  # hard cap on finite lengths (2.0**-l stays exact well belo
 # picks it; and their probabilities 2**-l, each an exact double, 0.0 last
 _DEPTH_ENTRIES = np.array([*range(MAX_TREE_LEN + 1), INF], dtype=object)
 _DEPTH_PROBS = np.append(np.exp2(-np.arange(MAX_TREE_LEN + 1.0)), 0.0)
+# the depth of each length entry up to the cap, -1 for inf
+_ENTRY_DEPTHS = {length: length for length in range(MAX_TREE_LEN + 1)} | {INF: -1}
 ENUM_MAX_SYMBOLS = 12
 ENUM_MAX_DEPTH = 12
 # divergences within this of each other tie in the oracle's scan
@@ -48,32 +50,27 @@ def _check_length(entry) -> "int | float":
         entry = int(entry)
     if not isinstance(entry, (int, np.integer)):
         raise ValueError(f"length {entry!r} is not an integer or inf")
-    if entry < 0:
-        raise ValueError("lengths must be nonnegative")
     return int(entry)
 
 
 def _checked_entries(raw) -> tuple:
     """The entries of a length vector as plain ints and inf.
 
-    A vector of Python ints and float infs is returned as it is, with its
-    signs left to :func:`_finite_histogram`; anything else goes through
-    :func:`_check_length` entry by entry, which converts or rejects it.
+    A vector of Python ints and float infs is returned as it is; anything
+    else goes through :func:`_check_length` entry by entry, which converts
+    or rejects it, up to the first negative entry, which the one check
+    then rejects.
     """
     entries = tuple(raw)
     types = list(map(type, entries))
     if set(types) <= {int, float} and types.count(float) == entries.count(INF):
         return entries
-    return tuple(map(_check_length, entries))
-
-
-def _finite_histogram(entries: tuple) -> Counter:
-    """Counts of the finite lengths among checked entries."""
-    hist = Counter(entries)
-    hist.pop(INF, None)
-    if hist and min(hist) < 0:
-        raise ValueError("lengths must be nonnegative")
-    return hist
+    checked = []
+    for entry in map(_check_length, entries):
+        checked.append(entry)
+        if entry < 0:
+            break
+    return tuple(checked)
 
 
 def _kraft_units(hist: dict) -> tuple:
@@ -90,51 +87,48 @@ def _reduced(units: int, exponent: int) -> str:
     return f"{units >> shift}/2^{exponent - shift}"
 
 
-def _require_kraft_one(hist: dict, entries: tuple):
-    """Raise naming the entries unless their length histogram's Kraft sum
-    is exactly 1."""
-    units, deepest = _kraft_units(hist)
-    if units != 1 << deepest:
-        raise ValueError(
-            f"lengths {entries} have Kraft sum {_reduced(units, deepest)}, "
-            "expected exactly 1"
-        )
-
-
 @dataclass(frozen=True)
 class CodeLengths:
     """Codeword-length vector of a full prefix-free code.
 
     Finite entries are nonnegative integers; inf marks dropped symbols.
-    Construction verifies exact Kraft equality over the finite entries.
+    Both constructors map their entries to a depth array, -1 where
+    dropped, and end in one check, :meth:`_keep`, which verifies exact
+    Kraft equality over the finite entries.  The code keeps those depths,
+    as a read-only int16 array, beside the lengths tuple, and the readers
+    here use them.
     """
 
     lengths: tuple
+    _depths: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         entries = _checked_entries(self.lengths)
-        hist = _finite_histogram(entries)
-        if not entries:
-            raise ValueError("empty length vector")
-        if not hist:
-            raise ValueError("need at least one finite length")
-        if max(hist) > MAX_TREE_LEN:
-            first = next(e for e in entries if MAX_TREE_LEN < e < INF)
-            raise GuardExceededError(f"length {first} exceeds cap {MAX_TREE_LEN}")
-        _require_kraft_one(hist, entries)
-        object.__setattr__(self, "lengths", entries)
+        # negative entries read -2 and those above the cap, of any size,
+        # MAX_TREE_LEN + 1
+        depths = np.fromiter(
+            map(_ENTRY_DEPTHS.get, entries, repeat(MAX_TREE_LEN + 1)), np.int64, len(entries)
+        )
+        above = np.flatnonzero(depths > MAX_TREE_LEN).tolist()
+        depths[[i for i in above if entries[i] < 0]] = -2
+        self._keep(depths, entries)
 
     @classmethod
     def _from_depths(cls, depths: np.ndarray) -> "CodeLengths":
         """The code of an int64 depth array, -1 marking dropped symbols; the
-        route of every code that ghc, huffman, gcc and from_codewords build.
+        route of every code the package builds.  Accepts, rejects and stores
+        what the constructor does for the tuple with inf for each -1, through
+        the same check and without a Python step per symbol."""
+        code = cls.__new__(cls)
+        code._keep(depths, depths)
+        return code
 
-        Accepts and rejects what the constructor does for the tuple with
-        inf in place of each -1, with the same errors, and stores the same
-        entries (Python ints and inf), without a Python step per symbol:
-        the depths' histogram, over at most MAX_TREE_LEN + 2 bins, goes
-        through the same exact Kraft check.
-        """
+    def _keep(self, depths: np.ndarray, given):
+        """The one check of both constructors: raise unless the int64
+        depths, -1 where dropped, are a full code by the exact Kraft sum of
+        their histogram, naming the first depth above the cap as ``given``
+        holds it; then keep them as a read-only int16 array, and their
+        entries as the lengths tuple."""
         if depths.size == 0:
             raise ValueError("empty length vector")
         try:
@@ -142,16 +136,21 @@ class CodeLengths:
         except ValueError:  # a depth below -1
             raise ValueError("lengths must be nonnegative") from None
         if counts.size > MAX_TREE_LEN + 2:
-            first = int(depths[np.argmax(depths > MAX_TREE_LEN)])
+            first = given[int(np.argmax(depths > MAX_TREE_LEN))]
             raise GuardExceededError(f"length {first} exceeds cap {MAX_TREE_LEN}")
         hist = {length: n for length, n in enumerate(counts[1:].tolist()) if n}
         if not hist:
             raise ValueError("need at least one finite length")
         entries = tuple(_DEPTH_ENTRIES[depths].tolist())
-        _require_kraft_one(hist, entries)
-        code = cls.__new__(cls)
-        object.__setattr__(code, "lengths", entries)
-        return code
+        units, deepest = _kraft_units(hist)
+        if units != 1 << deepest:
+            raise ValueError(
+                f"lengths {entries} have Kraft sum {_reduced(units, deepest)}, expected exactly 1"
+            )
+        kept = depths.astype(np.int16)
+        kept.flags.writeable = False
+        object.__setattr__(self, "lengths", entries)
+        object.__setattr__(self, "_depths", kept)
 
     @property
     def m(self) -> int:
@@ -159,7 +158,7 @@ class CodeLengths:
 
     @property
     def finite_count(self) -> int:
-        return sum(1 for e in self.lengths if e != INF)
+        return int(np.count_nonzero(self._depths >= 0))
 
     def __iter__(self):
         return iter(self.lengths)
@@ -168,7 +167,7 @@ class CodeLengths:
         return self.lengths[i]
 
     def kept_symbols(self) -> list:
-        return [i for i, e in enumerate(self.lengths) if e != INF]
+        return np.flatnonzero(self._depths >= 0).tolist()
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,8 +176,8 @@ class DyadicPmf:
 
     CodeLengths has already proved the Kraft sum exactly 1 with every
     l <= MAX_TREE_LEN, so every 2**(-l) is an exact float and the
-    probabilities sum to exactly 1; the Pmf is built without checking
-    them again.
+    probabilities sum to exactly 1; they are gathered from a table by the
+    code's depth array, and the Pmf is built without checking them again.
     """
 
     code: CodeLengths
@@ -186,13 +185,8 @@ class DyadicPmf:
 
     @classmethod
     def from_code(cls, code: CodeLengths) -> "DyadicPmf":
-        return cls(code, Pmf._exact(_dyadic_probs(code.lengths)))
-
-
-def _dyadic_probs(lengths) -> np.ndarray:
-    """2**(-l) per entry of a length vector, 0.0 where it is inf; exact
-    when every finite l is at most MAX_TREE_LEN."""
-    return np.exp2(-np.array(lengths, dtype=np.float64))
+        # numpy gathers by an intp index several times faster than by int16
+        return cls(code, Pmf._exact(_DEPTH_PROBS[code._depths.astype(np.intp)]))
 
 
 def canonical_codewords(code: CodeLengths) -> tuple:
@@ -201,16 +195,11 @@ def canonical_codewords(code: CodeLengths) -> tuple:
     Symbols sorted by (length, original index) receive codewords of
     increasing binary value; Kraft equality makes the assignment exact.
     """
-    order = sorted(code.kept_symbols(), key=lambda i: (code[i], i))
+    order = np.argsort(code._depths, kind="stable")[code.m - code.finite_count:]
     words: list = [None] * code.m
-    val = 0
-    prev_len = None
-    for sym in order:
-        length = int(code[sym])
-        if prev_len is None:
-            val = 0
-        else:
-            val = (val + 1) << (length - prev_len)
+    val, prev_len = -1, 0
+    for sym, length in zip(order.tolist(), code._depths[order].tolist()):
+        val = (val + 1) << (length - prev_len)
         words[sym] = format(val, f"0{length}b") if length > 0 else ""
         prev_len = length
     return tuple(words)
@@ -411,10 +400,9 @@ def brute_force_min_kl(x, l_max: "int | None" = None):
         if d < best_d - ORACLE_TIE_TOL:
             best_d, best_ms = d, ms
 
-    lengths = [INF] * order.size
-    for j, length in enumerate(best_ms):
-        lengths[int(order[j])] = length
-    return CodeLengths(tuple(lengths)), best_d
+    depths = np.full(order.size, -1, np.int64)
+    depths[order[:len(best_ms)]] = best_ms
+    return CodeLengths._from_depths(depths), best_d
 
 
 def brute_force_optima(x, l_max: "int | None" = None) -> list:

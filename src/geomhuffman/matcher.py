@@ -76,13 +76,21 @@ class MatchReport:
 
 
 def _coerce_bits(bits) -> np.ndarray:
+    """A bit string or array-like as a flat uint8 array; every entry must
+    equal 0 or 1."""
     if isinstance(bits, str):
-        arr = np.frombuffer(bits.encode("ascii"), dtype=np.uint8) - ord("0")
+        # a character outside ASCII becomes "?", which is no bit
+        arr = np.frombuffer(bits.encode("ascii", "replace"), dtype=np.uint8) - ord("0")
     else:
-        arr = np.asarray(bits, dtype=np.uint8).reshape(-1)
-    if arr.size and arr.max() > 1:
+        arr = np.asarray(bits).reshape(-1)
+    if arr.dtype == np.uint8:
+        if arr.size and arr.max() > 1:
+            raise ValueError("bits must be 0 or 1")
+        return arr
+    ones = arr == 1
+    if not np.all(ones | (arr == 0)):
         raise ValueError("bits must be 0 or 1")
-    return arr
+    return ones.view(np.uint8)
 
 
 def _require_matcher(tree: CodeTree):

@@ -273,8 +273,8 @@ def _route(build, *args) -> tuple:
 
 
 class TestOneRouteToCodeLengths:
-    """Every code that ghc, huffman, gcc and parse_codebook build, on both
-    sides of BATCH_MIN_LEAVES, reaches CodeLengths as one int64 depth array
+    """Every code that ghc, huffman, gcc, parse_codebook and the oracle
+    build, on both sides of BATCH_MIN_LEAVES, reaches CodeLengths as one int64 depth array
     checked by _from_depths, never through the public constructor."""
 
     @pytest.mark.parametrize("m", [1, 2, 5, 511, 2047, 2048, 2600])
@@ -292,3 +292,10 @@ class TestOneRouteToCodeLengths:
     def test_parsed_codebook(self):
         text = codebook_text(canonical_tree(ghc(Q5)[0]))
         assert _route(parse_codebook, text) == (1, 0)
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 9])
+    def test_oracle_code(self, m):
+        x = np.random.default_rng(m).dirichlet(np.ones(m))
+        if m >= 5:
+            x[m // 2] = 0.0
+        assert _route(brute_force_min_kl, x) == (1, 0)

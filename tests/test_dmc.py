@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -159,6 +160,15 @@ class TestKktCheck:
 
     def test_z_channel_optimal_point(self):
         assert kkt_check(Z_CHANNEL, Pmf(Z_P_STAR), 1e-9)
+
+    def test_unreached_output_is_no_warning(self):
+        # p = (1, 0) on the identity never reaches output 2, so r_2 = 0 and
+        # h / r holds 1/0 and 0/0: input 2's divergence is inf, no warning
+        p = Pmf(np.array([1.0, 0.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert mutual_information(IDENTITY2, p) == 0.0
+            assert kkt_check(IDENTITY2, p, 1e-6) is False
 
     def test_solver_output_passes_at_relaxed_tol(self):
         rng = np.random.default_rng(33)

@@ -1,5 +1,7 @@
 import math
 import re
+import traceback
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from geomhuffman import (
     CodeTree,
     DyadicPmf,
     GuardExceededError,
+    Pmf,
     brute_force_min_kl,
     brute_force_optima,
     canonical_codewords,
@@ -19,6 +22,8 @@ from geomhuffman import (
     canonical_tree,
     codebook_text,
     enumerate_full_codes,
+    gcc,
+    huffman,
     kl_divergence,
     parse_codebook,
 )
@@ -154,6 +159,98 @@ class TestFromDepths:
         lengths = ghc(np.array(xs))[0].lengths
         got, want = _from_depths_outcome([-1 if e == INF else e for e in lengths])
         assert got == want
+
+
+def _canonical_from_tuple(lengths: tuple) -> tuple:
+    """Canonical codewords read off the length tuple: kept symbols sorted by
+    (length, index) take increasing binary values."""
+    words: list = [None] * len(lengths)
+    val = prev = None
+    for length, sym in sorted((e, i) for i, e in enumerate(lengths) if e != INF):
+        val = 0 if prev is None else (val + 1) << (length - prev)
+        words[sym] = format(val, f"0{length}b") if length else ""
+        prev = length
+    return tuple(words)
+
+
+def _both_routes(lengths: tuple) -> list:
+    """The code of a length tuple built by the public constructor and by
+    _from_depths on its int64 depths."""
+    depths = np.array([-1 if e == INF else e for e in lengths], dtype=np.int64)
+    return [CodeLengths(lengths), CodeLengths._from_depths(depths)]
+
+
+class TestOneCheck:
+    """Both constructors end in one check, CodeLengths._keep, and every
+    reader in dyadic uses the depth array it keeps."""
+
+    def test_each_constructor_runs_the_check_once(self):
+        keep = CodeLengths._keep
+        with mock.patch.object(CodeLengths, "_keep", autospec=True, side_effect=keep) as spy:
+            CodeLengths((1, INF, 2, 2))
+            assert spy.call_count == 1
+            CodeLengths._from_depths(np.array([1, -1, 2, 2], dtype=np.int64))
+            assert spy.call_count == 2
+
+    @pytest.mark.parametrize(
+        "depths, error",
+        [
+            ([], ValueError),
+            ([1, 1, -2], ValueError),
+            ([-1, -1], ValueError),
+            ([1, -1, 1025, 2, 2], GuardExceededError),
+            ([1, 2], ValueError),
+        ],
+    )
+    def test_every_error_comes_from_the_check(self, depths, error):
+        for build in (
+            lambda: CodeLengths._from_depths(np.array(depths, dtype=np.int64)),
+            lambda: CodeLengths(tuple(INF if d == -1 else d for d in depths)),
+        ):
+            with pytest.raises(error) as info:
+                build()
+            assert "_keep" in [frame.name for frame in traceback.extract_tb(info.tb)]
+
+    def test_cap_error_names_the_entry_as_given(self):
+        for big in (1025, 10**30, 10**400):
+            with pytest.raises(GuardExceededError, match=f"^length {big} exceeds cap 1024$"):
+                CodeLengths((1, 1, INF, big, 2 * big))
+        with pytest.raises(GuardExceededError, match="^length 70000 exceeds cap 1024$"):
+            CodeLengths._from_depths(np.array([1, 1, 70000], dtype=np.int64))
+
+    def test_negative_named_before_a_later_bad_entry(self):
+        with pytest.raises(ValueError, match="^lengths must be nonnegative$"):
+            CodeLengths((np.int64(-1), 1.5))
+        with pytest.raises(ValueError, match="not an integer"):
+            CodeLengths((1.5, np.int64(-1)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.floats(min_value=0.0, max_value=1e3), min_size=1, max_size=300),
+        st.sampled_from(["ghc", "huffman", "gcc", "oracle"]),
+    )
+    def test_kept_depths_read_as_the_tuple(self, xs, algo):
+        x = np.array(xs)
+        if np.count_nonzero(x) < 2:
+            return
+        if algo == "oracle":
+            x = x[:8]
+            if not np.any(x > 0.0):
+                return
+        build = {
+            "ghc": ghc, "huffman": huffman, "oracle": brute_force_min_kl,
+            "gcc": lambda v: gcc(Pmf.normalized(v)),
+        }[algo]
+        lengths = build(x)[0].lengths
+        for code in _both_routes(lengths):
+            assert code.lengths == lengths
+            probs = DyadicPmf.from_code(code).probs.probs
+            assert probs.tobytes() == np.exp2(-np.array(code.lengths, float)).tobytes()
+            assert code.finite_count == sum(e != INF for e in lengths)
+            assert code.kept_symbols() == [i for i, e in enumerate(lengths) if e != INF]
+            assert canonical_codewords(code) == _canonical_from_tuple(lengths)
+            with pytest.raises(ValueError, match="read-only"):
+                code._depths[0] = 1
 
 
 class TestDyadicPmf:

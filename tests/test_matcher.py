@@ -1,7 +1,10 @@
+import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geomhuffman import (
     INF,
@@ -75,6 +78,52 @@ class TestModulate:
     def test_rejects_non_bits(self):
         with pytest.raises(ValueError):
             modulate(TREE_122, "012")
+
+    @pytest.mark.parametrize(
+        "bits", [[0.5, 1.7, 1.2], [-1, 0], [256, 0], [None], "0\uff11", "0\ud800", ["0", "1"], [math.nan]]
+    )
+    def test_rejects_entries_other_than_0_and_1(self, bits):
+        with pytest.raises(ValueError, match="^bits must be 0 or 1$"):
+            modulate(TREE_122, bits)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet=st.one_of(st.sampled_from("01"), st.characters()), max_size=12))
+    def test_bit_strings(self, text):
+        if set(text) <= {"0", "1"}:
+            assert modulate(TREE_122, text) == modulate(TREE_122, [int(c) for c in text])
+        else:
+            with pytest.raises(ValueError, match="^bits must be 0 or 1$"):
+                modulate(TREE_122, text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from([0, 1, False, True, 0.0, 1.0]),
+                st.integers(-300, 300),
+                st.floats(),
+                st.none(),
+            ),
+            max_size=12,
+        ),
+        st.sampled_from([None, np.int64, bool, np.float64, object]),
+    )
+    def test_bit_sequences(self, entries, dtype):
+        """A list, or an array of int, bool, float or object dtype, is the
+        0/1 stream of its entries when each equals 0 or 1, else refused."""
+        bits = entries
+        if dtype is not None:
+            try:
+                bits = np.array(entries, dtype=dtype)
+            except (TypeError, ValueError, OverflowError):
+                return  # no array of that dtype holds these entries
+        values = bits.tolist() if dtype is not None else entries
+        if all(v in (0, 1) for v in values):
+            want = np.array([v == 1 for v in values], dtype=np.uint8)
+            assert modulate(TREE_122, bits) == modulate(TREE_122, want)
+        else:
+            with pytest.raises(ValueError, match="^bits must be 0 or 1$"):
+                modulate(TREE_122, bits)
 
 
 class TestDemodulate:
