@@ -82,16 +82,14 @@ def _two_queue_depths(keys: list, ties: list, merge, drop) -> np.ndarray:
             i += 1
             ki, ti = keys[i], ties[i]
         if j < tail and (qk[j] < ki or (qk[j] == ki and qt[j] > ti)):
-            kb = qk[j]
-            if drop is not None and drop(ka, kb):
-                continue
-            b, tb = qn[j], qt[j]
+            # GHC never drops a against a merged b: b's children x <= y popped
+            # before a, so kb = (x + y)/2 + 1 <= ka + 1 < ka + 2, rounded too
+            b, kb, tb = qn[j], qk[j], qt[j]
             j += 1
         else:
-            kb = ki
-            if drop is not None and drop(ka, kb):
+            if drop is not None and drop(ka, ki):
                 continue
-            b, tb = i, ti
+            b, kb, tb = i, ki, ti
             i += 1
             ki, ti = keys[i], ties[i]
         rounds.append((c, (a, b)))
@@ -333,6 +331,11 @@ def gcc(q: Pmf) -> tuple:
     is kept, and of its own symbols the first ``need`` in the order, so
     only that level is sorted.
 
+    A PMF summing to 1 only within SUM_TOL, as q_i = 2**-i (1 - e_i) can,
+    may keep every symbol short of Kraft equality; then its deepest
+    codewords are shortened one level at a time, the most probable first,
+    each filling one leaf of the deficit, until the code is full.
+
     Every kept probability satisfies 2**(-l_i) >= q_i, which bounds the
     divergence by 1 bit.  Returns (CodeLengths in original order, D bits).
     """
@@ -345,9 +348,16 @@ def gcc(q: Pmf) -> tuple:
             break
         need = 2 * (need - count)
     else:
-        raise RuntimeError(
-            "internal consistency error: exact Kraft equality never reached"
-        )
+        kept = np.flatnonzero(positive)
+        lengths = lengths[kept]
+        for level in range(level, 0, -1):
+            need //= 2  # now in leaves of this level, one per shortened codeword
+            at = np.flatnonzero(lengths == level)
+            at = at[np.argsort(-arr[kept[at]], kind="stable")[:need]]
+            lengths[at] -= 1
+            need -= at.size
+            if not need:
+                return _code_and_divergence(kept, lengths, arr)
     ends = np.flatnonzero(positive & (lengths == level))
     ends = ends[np.argsort(-arr[ends], kind="stable")[:need]]
     kept = np.concatenate((np.flatnonzero(positive & (lengths < level)), ends))

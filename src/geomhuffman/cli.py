@@ -123,12 +123,9 @@ def _read_file(path: str) -> bytes:
         raise SpecFileError(f"cannot read {path}: {exc}") from None
 
 
-def _numbers(value, depth: int) -> bool:
-    """Whether value is a JSON number (an int or float, not a bool) at
-    depth 0, or a list whose entries are such values of depth - 1."""
-    if depth == 0:
-        return type(value) in (int, float)
-    return isinstance(value, list) and all(_numbers(v, depth - 1) for v in value)
+def _numbers(values: list) -> bool:
+    """Whether every entry is exactly an int or a float, as JSON numbers are."""
+    return set(map(type, values)) <= {int, float}
 
 
 def load_spec(path: str):
@@ -155,7 +152,7 @@ def load_spec(path: str):
                 payload = Pmf(np.array(probs, dtype=np.float64))
             except ValueError as exc:
                 raise SpecFileError(f"pmf.probs: {exc}") from None
-            if not _numbers(probs, 1):
+            if not _numbers(probs):
                 raise SpecFileError("pmf.probs: expected a nonempty array of numbers")
         elif kind == "dmc":
             rows = doc.get("transition")
@@ -168,7 +165,7 @@ def load_spec(path: str):
                 payload = dmc_mod.DmcSpec(np.array(rows, dtype=np.float64))
             except ValueError as exc:
                 raise SpecFileError(f"dmc.transition: {exc}") from None
-            if not _numbers(rows, 2):
+            if not all(map(_numbers, rows)):
                 raise SpecFileError("dmc.transition: expected a row-major 2-d array")
         elif kind == "dnc":
             weights = doc.get("weights")
@@ -179,9 +176,9 @@ def load_spec(path: str):
                 payload = dnc_mod.DncSpec(np.array(weights, dtype=np.float64), float(base))
             except ValueError as exc:
                 raise SpecFileError(f"dnc: {exc}") from None
-            if not _numbers(weights, 1):
+            if not _numbers(weights):
                 raise SpecFileError("dnc.weights: expected a nonempty array of numbers")
-            if not _numbers(base, 0):
+            if type(base) not in (int, float):
                 raise SpecFileError("dnc.base: expected a number")
         else:
             raise SpecFileError(f"{path}: unknown spec type {kind!r}")
@@ -394,10 +391,7 @@ def _symbol_array(text: str):
 def _cmd_dematch(args):
     digest, tree = _load_tree(args.codebook)
     symbols = _parse_symbol_list(args)
-    try:
-        bits = matcher.demodulate(tree, symbols)
-    except ValueError as exc:
-        raise SpecFileError(str(exc)) from None
+    bits = matcher.demodulate(tree, symbols)
     report = {
         "command": "dematch",
         "input_digest": digest,

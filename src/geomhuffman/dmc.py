@@ -149,12 +149,13 @@ def blahut_arimoto(dmc: DmcSpec, tol: float = 1e-9, max_iter: int = 100_000) -> 
     The loop reuses its arrays from one iteration to the next and skips
     the masks while every p_i is positive; its iterates are bit for bit
     those of the plain loop kept in ``tests/reference.py``.  The validated
-    result is built once, from the iterate whose gap it reports.  Raises
-    ConvergenceError (carrying that result as the best iterate) if
-    max_iter is hit first or the divergences stop being finite, which
-    happens when h / r overflows or h p underflows to 0; where that leaves
-    the gap itself not finite, the error carries the iterate before.
-    The loop's overflows and underflows print no numpy warning.
+    result is built once, from the iterate whose gap it reports.  Where
+    h p rounds to 0, as on a subnormal row, r is the smallest float, not 0
+    as in the plain loop.  Raises ConvergenceError (carrying that result
+    as the best iterate) if max_iter is hit first or the divergences stop
+    being finite, as when h / r overflows; where that leaves the gap
+    itself not finite, the error carries the iterate before.  The loop's
+    overflows and underflows print no numpy warning.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError("tol must be finite and positive")
@@ -172,6 +173,11 @@ def blahut_arimoto(dmc: DmcSpec, tol: float = 1e-9, max_iter: int = 100_000) -> 
             np.dot(h, p, out=r)
             _per_input_divergence(h, r_col, where, lg, work, out=div)
             dmax = float(np.maximum.reduce(div))
+            if dmax == math.inf and not r.all():
+                # an output whose mass rounds to 0 gets the smallest float
+                np.maximum(r, 5e-324, out=r)
+                _per_input_divergence(h, r_col, where, lg, work, out=div)
+                dmax = float(np.maximum.reduce(div))
             if np.count_nonzero(p) == m:
                 live = None
                 lower = float(np.dot(p, div))
@@ -185,8 +191,7 @@ def blahut_arimoto(dmc: DmcSpec, tol: float = 1e-9, max_iter: int = 100_000) -> 
                 return CapacityResult(C=lower, p_star=Pmf.normalized(p), achieved_tol=gap)
             if not math.isfinite(top):
                 if before is not None and not math.isfinite(gap):
-                    # h / r overflowed, or h p underflowed to 0: report
-                    # the iterate before this one
+                    # h / r overflowed: report the iterate before this one
                     p, (lower, gap) = last, before
                 raise ConvergenceError(
                     "capacity solver hit numerical underflow",

@@ -323,16 +323,13 @@ def enumerate_full_codes(m: int, l_max: int) -> Iterator[tuple]:
         )
 
     def gen(remaining: int, min_len: int, slots: int):
-        # remaining is the Kraft deficit in units of 2**(-l_max)
+        # remaining, the Kraft deficit in units of 2**(-l_max), is a multiple of
+        # every piece; with one slot left only piece == remaining recurses
         if remaining == 0:
             yield ()
             return
-        if slots == 0:
-            return
         for length in range(min_len, l_max + 1):
             piece = 1 << (l_max - length)
-            if piece > remaining:
-                continue
             if piece * slots < remaining:
                 break  # larger lengths are even smaller; nothing can fill the gap
             for rest in gen(remaining - piece, length, slots - 1):

@@ -12,7 +12,6 @@ platform, so match reports are comparable across machines.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -272,19 +271,20 @@ def modulate(tree: CodeTree, bits) -> tuple:
 def demodulate(tree: CodeTree, symbols) -> str:
     """Concatenated codewords of a symbol sequence, as a '0'/'1' string.
 
-    A 1-d numpy integer array is taken as it is; a list, tuple, iterator or
-    other array is converted once to an int64 array, which takes Python and
-    numpy integers and refuses anything else, bools included, rather than
-    round or parse it.  The array is checked with array operations, for
-    indices out of range and symbols dropped from the tree, and its
-    codewords are gathered and joined once.  The first bad symbol in the
-    sequence names the error, a ValueError.
+    Every input becomes one int64 index array: a 1-d numpy integer array
+    as it is (uint64 past int64 wraps negative), any other sequence with -1
+    for an entry that is not an integer (bools included; nothing is
+    rounded or parsed) or lies beyond int64.  The array is checked for indices out
+    of range and dropped symbols, and its codewords are gathered and joined
+    once.  The first bad position names the ValueError, by its entry as
+    given.
     """
     words = tree.codewords
-    if not (isinstance(symbols, np.ndarray) and symbols.ndim == 1 and symbols.dtype.kind in "iu"):
-        symbols = _index_array(words, symbols)
-    # uint64 entries past int64 wrap to negative indices, out of range too
-    index = symbols.astype(np.int64, copy=False)
+    if isinstance(symbols, np.ndarray) and symbols.ndim == 1 and symbols.dtype.kind in "iu":
+        index = symbols.astype(np.int64, copy=False)
+    else:
+        symbols = symbols if isinstance(symbols, (list, tuple)) else list(symbols)
+        index = _index_array(symbols)
     table = np.array(words, dtype=object)
     kept = np.not_equal(table, None)
     m = len(words)
@@ -293,43 +293,34 @@ def demodulate(tree: CodeTree, symbols) -> str:
         bad = ~inside
         bad[inside] = ~kept[index[inside]]
         first = int(np.argmax(bad))
-        s = int(symbols[first])
+        s = symbols[first]
+        if not _is_integer(s):
+            raise ValueError(f"symbol {s!r} is not an integer")
         if inside[first]:
-            raise ValueError(f"symbol {s} was dropped from the code tree")
-        raise ValueError(f"symbol index {s} out of range")
+            raise ValueError(f"symbol {int(s)} was dropped from the code tree")
+        raise ValueError(f"symbol index {int(s)} out of range")
     return "".join(table[index].tolist())
 
 
-def _index_array(words: tuple, symbols) -> np.ndarray:
-    """symbols, not a 1-d integer array, as one int64 array.
-
-    Where an entry is not an integer or lies beyond int64, the symbols are
-    walked one by one to name the first bad one.
-    """
-    seq = symbols if isinstance(symbols, (list, tuple)) else list(symbols)
-    if operator.countOf(map(type, seq), int) < len(seq):
-        kinds = set(map(type, seq))
-        if not all(issubclass(k, (int, np.integer)) and not issubclass(k, bool) for k in kinds):
-            _raise_first_fault(words, seq)
-        seq = list(map(int, seq))
-    try:
-        return np.fromiter(seq, np.int64, len(seq))
-    except OverflowError:
-        _raise_first_fault(words, seq)
+def _is_integer(s) -> bool:
+    return isinstance(s, (int, np.integer)) and not isinstance(s, bool)
 
 
-def _raise_first_fault(words: tuple, seq):
-    """Raise ValueError for the first entry of seq that is not an integer,
-    is out of range or was dropped from the code tree."""
-    for s in seq:
-        if type(s) is not int:
-            if isinstance(s, bool) or not isinstance(s, (int, np.integer)):
-                raise ValueError(f"symbol {s!r} is not an integer")
-            s = int(s)
-        if s < 0 or s >= len(words):
-            raise ValueError(f"symbol index {s} out of range")
-        if words[s] is None:
-            raise ValueError(f"symbol {s} was dropped from the code tree")
+def _index(s) -> int:
+    """s as an int64 index, -1 if it is not an integer or lies beyond int64."""
+    s = int(s) if _is_integer(s) else -1
+    return s if -2**63 <= s < 2**63 else -1
+
+
+def _index_array(seq) -> np.ndarray:
+    """A list or tuple of symbols as one int64 array, exact ints in one
+    conversion and anything else entry by entry through :func:`_index`."""
+    if set(map(type, seq)) <= {int}:
+        try:
+            return np.fromiter(seq, np.int64, len(seq))
+        except OverflowError:
+            pass
+    return np.fromiter(map(_index, seq), np.int64, len(seq))
 
 
 def simulate(tree: CodeTree, n_symbols: int, seed: int) -> MatchReport:

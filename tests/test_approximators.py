@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -229,6 +230,43 @@ class TestGcc:
             threshold = min(q.probs[i] for i in kept)
             dropped = [i for i in range(m) if i not in kept]
             assert all(q.probs[i] <= threshold for i in dropped)
+
+
+@st.composite
+def _kraft_short_pmfs(draw):
+    """q_i = 2**-i (1 - e_i) for i = 1..m in a drawn order, with e_i in
+    [0, 1/2): floor(-log2 q_i) = i, so keeping every symbol leaves the
+    Kraft sum at 1 - 2**-m, while the q_i sum to 1 within 1e-9."""
+    m = draw(st.integers(31, 80))
+    i = np.arange(1, m + 1)
+    u = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=m, max_size=m)))
+    e = u * np.minimum(0.49, 2.0**i * 5e-10 / m)
+    order = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).permutation(m)
+    return Pmf((2.0**-i * (1.0 - e))[order]), i[order]
+
+
+class TestGccCompletion:
+    """A PMF whose floor-of-log lengths fall short of Kraft equality with
+    every symbol kept: gcc completes the code by shortening its deepest
+    codewords, where it used to raise."""
+
+    def test_powers_of_two_short_of_one(self):
+        # sums to 1 - 2**-31; the one deepest codeword moves up a level
+        code, d = gcc(Pmf(2.0 ** -np.arange(1, 32)))
+        assert code.lengths == tuple(range(1, 31)) + (30,)
+        assert d == 2.0**-30
+
+    @settings(max_examples=200, deadline=None)
+    @given(_kraft_short_pmfs())
+    def test_full_code_dominating_q_within_one_bit(self, q_and_floor):
+        q, floor = q_and_floor
+        code, d = gcc(q)
+        lengths = np.array(code.lengths)
+        assert np.all(np.isfinite(lengths))  # every symbol is kept
+        assert sum(Fraction(1, 2**int(l)) for l in lengths) == 1
+        assert np.all(lengths <= floor)
+        assert np.all(2.0**-lengths >= q.probs)
+        assert 0.0 <= d <= 1.0
 
 
 class TestDominanceChain:

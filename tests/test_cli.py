@@ -5,6 +5,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from test_dmc import overflowing_channel
 
@@ -122,6 +123,45 @@ def test_spec_errors_before_the_number_check_keep_their_message(capsys, tmp_path
     code, out, err = run(capsys, command, str(path))
     assert code == 1 and out == ""
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('[{"type": "pmf"}]', "{path}: top level must be an object with a 'type' field"),
+        ('{"probs": [1.0]}', "{path}: top level must be an object with a 'type' field"),
+        ('{"type": "pmf"}', "pmf.probs: expected a nonempty array of numbers"),
+        ('{"type": "pmf", "probs": []}', "pmf.probs: expected a nonempty array of numbers"),
+        ('{"type": "pmf", "probs": {"0": 1.0}}', "pmf.probs: expected a nonempty array of numbers"),
+        ('{"type": "dmc"}', "dmc.transition: expected a row-major 2-d array"),
+        ('{"type": "dmc", "transition": []}', "dmc.transition: expected a row-major 2-d array"),
+        ('{"type": "dmc", "transition": 0.5}', "dmc.transition: expected a row-major 2-d array"),
+        ('{"type": "dmc", "transition": [[1.0, 0.5], 0.5]}', "dmc.transition: expected a row-major 2-d array"),
+        ('{"type": "dmc", "transition": [[1.0, 0.5], [0.0]]}', "dmc.transition: rows have unequal lengths"),
+        ('{"type": "dnc"}', "dnc.weights: expected a nonempty array of numbers"),
+        ('{"type": "dnc", "weights": []}', "dnc.weights: expected a nonempty array of numbers"),
+        ('{"type": "dnc", "weights": "1 2"}', "dnc.weights: expected a nonempty array of numbers"),
+    ],
+)
+def test_spec_shape_errors_are_one_line(capsys, tmp_path, text, message):
+    path = tmp_path / "spec.json"
+    path.write_text(text)
+    doc = json.loads(text)
+    kind = doc.get("type", "pmf") if isinstance(doc, dict) else "pmf"
+    command = {"pmf": "ghc", "dmc": "dmc", "dnc": "dnc"}[kind]
+    code, out, err = run(capsys, command, str(path))
+    assert code == 1 and out == ""
+    assert err == f"error: {message.format(path=path)}\n"
+
+
+@pytest.mark.parametrize(
+    "command, key, wanted",
+    [("ghc", "dmc", "pmf"), ("oracle", "dnc", "pmf"), ("dmc", "pmf", "dmc"), ("dnc", "dmc", "dnc")],
+)
+def test_spec_of_the_wrong_kind_is_input_error(capsys, specs, command, key, wanted):
+    code, out, err = run(capsys, command, specs[key])
+    assert code == 1 and out == ""
+    assert err == f"error: {command} needs a {wanted!r} spec, got {key!r}\n"
 
 
 class TestEmitReport:
@@ -333,6 +373,63 @@ class TestSubcommands:
         assert code == 1 and out == ""
         named = "--symbols" if source == "--symbols" else value
         assert err == f"error: {named}: symbol '{'1' * 20}...' of 5000 digits is out of range\n"
+
+    @pytest.mark.parametrize(
+        "both, message",
+        [(True, "give either --symbols or --symbols-file, not both"),
+         (False, "dematch needs --symbols or --symbols-file")],
+    )
+    def test_dematch_takes_one_symbol_source(self, capsys, specs, tmp_path, both, message):
+        codebook = tmp_path / "cb.tsv"
+        run(capsys, "ghc", specs["pmf"], "--codebook", str(codebook))
+        path = tmp_path / "symbols.txt"
+        path.write_text("0 1")
+        flags = ("--symbols", "0,1", "--symbols-file", str(path)) if both else ()
+        code, out, err = run(capsys, "dematch", str(codebook), *flags)
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("line", ["0\t0\t1", "0 0", "0"])
+    def test_codebook_line_needs_one_tab(self, capsys, tmp_path, line):
+        codebook = tmp_path / "cb.tsv"
+        codebook.write_text(f"{line}\n1\t1\n")
+        code, out, err = run(capsys, "dematch", str(codebook), "--symbols", "0")
+        assert code == 1 and out == ""
+        assert err == f"error: {codebook}: codebook line 1: expected 'index<TAB>bits'\n"
+
+    # the given value names the fault, as demodulate raises it, with no
+    # second wrapping in the CLI
+    @pytest.mark.parametrize(
+        "symbols, message",
+        [("0,1", "symbol 1 was dropped from the code tree"),
+         ("0 5 1", "symbol index 5 out of range"),
+         (f"2 {2**70} 1", f"symbol index {2**70} out of range"),
+         (f"2 {2**63}", f"symbol index {2**63} out of range")],
+    )
+    def test_dematch_fault_named_by_the_given_value(self, capsys, tmp_path, symbols, message):
+        codebook = tmp_path / "cb.tsv"
+        codebook.write_text("0\t0\n2\t1\n")  # symbol 1 dropped
+        code, out, err = run(capsys, "dematch", str(codebook), "--symbols", symbols)
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
+
+    def test_gcc_on_a_kraft_short_pmf(self, capsys, tmp_path):
+        # sums to 1 - 2**-31, inside the tolerance, and every floor length
+        # is kept short of Kraft equality; this ended in a traceback
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"type": "pmf", "probs": (2.0 ** -np.arange(1, 32)).tolist()}))
+        code, out, err = run(capsys, "gcc", str(path))
+        assert code == 0, err
+        assert json.loads(out)["lengths"] == list(range(1, 31)) + [30]
+
+    def test_dmc_on_a_subnormal_output_row(self, capsys, tmp_path):
+        # h p rounds to 0 in the last row, which carries no mass; this
+        # ended in the underflow error, exit 2
+        path = tmp_path / "spec.json"
+        path.write_text('{"type": "dmc", "transition": [[0.5, 0.25], [0.5, 0.75], [5e-324, 5e-324]]}')
+        code, out, err = run(capsys, "dmc", str(path))
+        assert code == 0, err
+        assert json.loads(out)["capacity_bits"] == pytest.approx(0.048821003620363505, rel=1e-12)
 
     def test_unknown_format_flag_is_input_error(self, capsys, specs, tmp_path):
         codebook = tmp_path / "cb.tsv"

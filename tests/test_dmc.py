@@ -64,6 +64,10 @@ class TestDmcSpec:
         with pytest.raises(ValueError):
             DmcSpec(np.array([[1.0], [0.0]]))
 
+    def test_rejects_a_vector(self):
+        with pytest.raises(ValueError, match="^transition matrix must be 2-dimensional$"):
+            DmcSpec(np.array([0.5, 0.5]))
+
 
 class TestMutualInformation:
     def test_identity(self):
@@ -138,6 +142,18 @@ class TestBlahutArimoto:
         with pytest.raises(ValueError, match="finite and positive"):
             blahut_arimoto(Z_CHANNEL, tol=tol)
 
+    # h p rounds to 0 in the last row, which carries no mass; its r is
+    # taken at the smallest positive float, where the divergences were inf
+    # and the solver raised the underflow error on its first iteration
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_subnormal_output_row_is_the_channel_without_it(self):
+        h = np.array([[0.5, 0.25], [0.5, 0.75], [5e-324, 5e-324]])
+        got = blahut_arimoto(DmcSpec(h))
+        want = blahut_arimoto(DmcSpec(h[:2]))
+        assert got.C == want.C == 0.048821003620363505
+        assert np.array_equal(got.p_star.probs, want.p_star.probs)
+        assert got.achieved_tol == want.achieved_tol
+
     @pytest.mark.parametrize("max_iter", [0, -3])
     def test_rejects_max_iter_below_one(self, max_iter):
         # the loop never ran, so there was no result to report
@@ -170,6 +186,9 @@ class TestKktCheck:
             assert mutual_information(IDENTITY2, p) == 0.0
             assert kkt_check(IDENTITY2, p, 1e-6) is False
 
+    def test_no_input_above_tol_fails(self):
+        assert kkt_check(Z_CHANNEL, Pmf(np.array([0.5, 0.5])), 0.9) is False
+
     def test_solver_output_passes_at_relaxed_tol(self):
         rng = np.random.default_rng(33)
         for _ in range(10):
@@ -190,6 +209,10 @@ class TestMiLowerBound:
     def test_support_violation(self):
         with pytest.raises(SupportConditionError):
             mi_lower_bound(1.0, Pmf(np.array([0.5, 0.5])), Pmf(np.array([1.0, 0.0])))
+
+    def test_length_mismatch(self):
+        with pytest.raises(DimensionMismatchError, match="^p and p_star differ in length$"):
+            mi_lower_bound(1.0, Pmf(np.array([1.0])), Pmf(Z_P_STAR))
 
     def test_bound_holds_for_dyadic_inputs(self):
         rng = np.random.default_rng(34)

@@ -291,6 +291,17 @@ class TestLec:
         assert _one_more_step_rate(spec, res) <= res.rate
         assert res.R == res.rate / dnc_capacity(spec).C
 
+    def test_stops_on_the_divergence_from_the_second_pass(self):
+        # at tol 0.1 the second pass still moves R and raises the rate, and
+        # |D| <= tol stops it there; at the default tol it runs on to a
+        # code of higher rate
+        spec = DncSpec(np.array([9.0, 8.0, 7.0, 1.0, 7.0, 2.0]))
+        res = lec(spec, tol=0.1)
+        assert res.iterations == 2
+        assert res.lengths.lengths == (4, 4, 4, 1, 4, 2)
+        full = lec(spec)
+        assert full.iterations > 2 and full.rate > res.rate
+
     @pytest.mark.parametrize("e", [15, 16, 17, 20, 100, 308])
     def test_weights_decades_apart_reach_a_positive_rate(self, e):
         # the first pass gives the one-leaf code (0, inf), whose D from

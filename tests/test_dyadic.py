@@ -90,6 +90,13 @@ class TestCodeLengths:
         code = CodeLengths((1.0, 1))
         assert code.lengths == (1, 1)
 
+    def test_rejects_a_string_entry(self):
+        with pytest.raises(ValueError, match="^length 'a' is not an integer or inf$"):
+            CodeLengths(("a",))
+
+    def test_iterates_over_its_lengths(self):
+        assert list(iter(CodeLengths((1, INF, 2, 2)))) == [1, INF, 2, 2]
+
 
 def _from_depths_outcome(depths):
     """CodeLengths._from_depths on an int64 array, and the public
@@ -389,6 +396,13 @@ class TestEnumerateFullCodes:
             for l_max in range(0, ENUM_MAX_DEPTH + 1):
                 table = _codes_table(m, l_max)
                 assert all(a < b for a, b in zip(table, table[1:])), (m, l_max)
+
+    @pytest.mark.parametrize(
+        "m, l_max, message", [(0, 3, "m must be >= 1"), (3, -1, "l_max must be >= 0")]
+    )
+    def test_rejects_empty_code_or_negative_depth(self, m, l_max, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            list(enumerate_full_codes(m, l_max))
 
     def test_guards(self):
         with pytest.raises(GuardExceededError):

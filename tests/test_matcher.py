@@ -47,6 +47,10 @@ class TestBitSource:
     def test_position_indexes_the_stream(self):
         assert np.array_equal(BitSource(7, position=130).take(70), BitSource(7).take(200)[130:])
 
+    def test_negative_take_rejected(self):
+        with pytest.raises(ValueError, match="^cannot take a negative number of bits$"):
+            BitSource(0).take(-1)
+
     def test_roughly_fair(self):
         bits = BitSource(0).take(100_000)
         assert abs(bits.mean() - 0.5) < 0.01  # ~6 sigma
@@ -168,6 +172,30 @@ class TestDemodulate:
         ],
     )
     def test_first_bad_symbol_names_the_error(self, symbols, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            demodulate(TREE_1233, symbols)
+
+    # every form of input is one int64 index array, -1 where an entry is
+    # not an integer or lies beyond int64, and the entry as given names
+    # the first fault
+    @pytest.mark.parametrize(
+        "symbols, message",
+        [
+            ([0, np.int64(9), 4], "symbol index 9 out of range"),
+            ([np.int32(1), np.uint8(4)], "symbol 4 was dropped from the code tree"),
+            ([0, 1, np.uint64(2**64 - 1)], f"symbol index {2**64 - 1} out of range"),
+            (np.array([0, 2**64 - 1], np.uint64), f"symbol index {2**64 - 1} out of range"),
+            (np.array([0, 2**63], np.uint64), f"symbol index {2**63} out of range"),
+            ([0, 1, 2**63], f"symbol index {2**63} out of range"),
+            ([0, 1, 2**70], f"symbol index {2**70} out of range"),
+            ([0, -(2**63) - 1, 4], f"symbol index {-(2**63) - 1} out of range"),
+            ((1, 2, np.float64(3.0), 9), f"symbol {np.float64(3.0)!r} is not an integer"),
+            (np.array([0.0, 1.0]), f"symbol {np.float64(0.0)!r} is not an integer"),
+            (np.array([[0, 1]]), f"symbol {np.array([0, 1])!r} is not an integer"),
+            ((s for s in [2, 3, "4"]), "symbol '4' is not an integer"),
+        ],
+    )
+    def test_given_value_names_the_fault(self, symbols, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             demodulate(TREE_1233, symbols)
 

@@ -72,6 +72,12 @@ _ROUNDED_TIES = [
     ("ghc", [2.0, 2.0, 2.0000000000000004, 2.0000000000000004, 2.000000000000001]),
     ("huffman", [2.999999999999999, 0.5, 0.5, 2.000000000000001, 2.000000000000001,
                  1.0000000000000004, 2.0000000000000013]),
+    # the parent of two nodes keyed 1 + 2**-52 is keyed 2.0 after rounding,
+    # as are four pending nodes; it goes ahead of the two with smaller tie
+    # indices, so the insert walks more than one step (a one-step insert
+    # gives other lengths here)
+    ("ghc", [1.0, 1.0, 0.5, 1.0, 1.0, 2.0, 2.0000000000000004, 2.0, 2.0, 2.0000000000000004,
+             0.5, 0.125, 2.0, 2.0, 1.0, 2.0, 0.125]),
 ]
 _scales = st.sampled_from([1.0, 2.0**-40, 2.0**30, 0.1, 3.0])
 
